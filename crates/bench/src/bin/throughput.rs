@@ -464,7 +464,6 @@ fn measure_shed() -> Vec<ShedRow> {
     let (addr, server) = spawn_loopback(ServeOptions {
         workers: 1,
         queue: 2,
-        shards: 2,
         faults: FaultPlan {
             delay_stage: Some((Stage::Select, DELAY_MS)),
             ..FaultPlan::default()

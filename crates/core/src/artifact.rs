@@ -253,7 +253,6 @@ pub fn encode_table_entry(graph: u64, key: &TableKey, table: &PatternTable) -> S
             "span".into(),
             key.span.map_or(Value::Unit, |s| Value::U64(u64::from(s))),
         ),
-        ("parallel".into(), Value::Bool(key.parallel)),
         ("table".into(), serde::to_value(table)),
     ]);
     encode(KIND_TABLE, (graph, key.content_hash()), payload)
@@ -293,19 +292,7 @@ pub fn decode_table_entry(
             ))
         }
     };
-    let parallel = match json::field(&payload, "parallel") {
-        Some(Value::Bool(b)) => *b,
-        _ => {
-            return Err(ArtifactError::Malformed(
-                "table payload missing boolean `parallel`".into(),
-            ))
-        }
-    };
-    let key = TableKey {
-        capacity,
-        span,
-        parallel,
-    };
+    let key = TableKey { capacity, span };
     if key.content_hash() != envelope_key.1 {
         return Err(ArtifactError::Malformed(
             "table key parameters do not hash to the envelope's config_hash".into(),
@@ -496,12 +483,16 @@ impl ArtifactStore {
     /// directory pick the same victims. A file whose mtime changed
     /// between the listing and the delete was just republished by a
     /// concurrent writer — it is skipped, never deleted out from under
-    /// its publisher. Returns how many files were evicted.
+    /// its publisher. Returns how many files were evicted. With neither
+    /// bound set nothing can be evicted, so the directory is not read.
     pub fn enforce_budget(
         &self,
         max_entries: Option<usize>,
         max_bytes: Option<usize>,
     ) -> io::Result<usize> {
+        if max_entries.is_none() && max_bytes.is_none() {
+            return Ok(0);
+        }
         let mut files: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
         for entry in fs::read_dir(&self.dir)?.flatten() {
             let name = entry.file_name();
@@ -669,6 +660,46 @@ mod tests {
         assert_eq!(store.load_results().loaded.len(), 2);
         let evicted = store.enforce_budget(None, Some(1)).unwrap();
         assert_eq!(evicted, 2, "a 1-byte budget clears the directory");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unbudgeted_enforcement_skips_the_directory_scan() {
+        let dir = tmp_dir("nobudget");
+        let store = ArtifactStore::open(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        // Nothing to evict without a bound, so the vanished directory is
+        // never listed; a bounded sweep still reports the I/O error.
+        assert_eq!(store.enforce_budget(None, None).unwrap(), 0);
+        assert!(store.enforce_budget(Some(1), None).is_err());
+    }
+
+    #[test]
+    fn legacy_table_entries_with_a_worker_policy_are_rejected_and_counted() {
+        // A `pt-` file written while `TableKey` still carried `parallel`:
+        // the payload names the field, and the envelope's config hash is
+        // FNV-1a over the old `Debug` rendering of the key.
+        let dir = tmp_dir("legacy-pt");
+        let store = ArtifactStore::open(&dir).unwrap();
+        let adfg = mps_dfg::AnalyzedDfg::new(mps_workloads::fig4());
+        let graph = adfg.dfg().content_hash();
+        let table = PatternTable::build(&adfg, mps_patterns::EnumerateConfig::default());
+        let legacy_hash = "TableKey { capacity: 5, span: None, parallel: false }"
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        let payload = Value::Map(vec![
+            ("capacity".into(), Value::U64(5)),
+            ("span".into(), Value::Unit),
+            ("parallel".into(), Value::Bool(false)),
+            ("table".into(), serde::to_value(&table)),
+        ]);
+        let text = encode(KIND_TABLE, (graph, legacy_hash), payload);
+        let name = format!("pt-{graph:016x}-{legacy_hash:016x}.json");
+        fs::write(dir.join(name), text).unwrap();
+        let report = store.load_tables();
+        assert_eq!((report.loaded.len(), report.rejected), (0, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 }

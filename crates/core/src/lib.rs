@@ -16,7 +16,7 @@
 //! | [`par`] | `mps-par` | crossbeam-based parallel-map substrate |
 //!
 //! The top-level API is [`Session`]: a staged compiler over one graph,
-//! with typed stage artifacts, a cached pattern table per span/policy,
+//! with typed stage artifacts, a cached pattern table per capacity/span,
 //! pluggable [`SelectEngine`]/[`ScheduleEngine`] strategies, one
 //! [`MpsError`] for every failure, and batch fan-out via
 //! [`Session::compile_batch`].
@@ -72,6 +72,7 @@ pub use mps_workloads as workloads;
 pub use serde;
 
 pub mod artifact;
+pub mod cache;
 mod error;
 pub mod json;
 mod metrics;
@@ -79,6 +80,7 @@ mod session;
 mod size;
 
 pub use artifact::{ArtifactError, ArtifactStore, LoadReport};
+pub use cache::{CacheBudget, SingleFlightCache};
 pub use error::{MpsError, Stage};
 pub use metrics::{SharedStageMetrics, StageMetrics};
 pub use mps_fabric::{FabricError, FabricMapping, FabricParams, Interconnect};

@@ -14,11 +14,16 @@
 //! [`Selected`], [`Scheduled`], [`Mapped`]) that borrows the session, so
 //! stages can only run in order and intermediate results are inspectable
 //! at every step. The session caches each [`PatternTable`] it builds,
-//! keyed by span limit + capacity + worker policy: the dominant cost of a
-//! compile is the §5.1 enumeration, and repeated selects over the same
-//! graph (`Pdef` sweeps, engine comparisons, re-serving a hot kernel)
-//! skip it entirely — [`StageMetrics::table_cache_hits`] counts exactly
-//! when.
+//! keyed by capacity + span limit: the dominant cost of a compile is the
+//! §5.1 enumeration, and repeated selects over the same graph (`Pdef`
+//! sweeps, engine comparisons, re-serving a hot kernel) skip it entirely
+//! — [`StageMetrics::table_cache_hits`] counts exactly when.
+//!
+//! One cache type, [`SingleFlightCache`](crate::cache::SingleFlightCache),
+//! backs both expensive products, in two instances: the [`TableCache`]
+//! every session holds (private, or process-wide via
+//! [`Session::with_shared_tables`]), and the serving layer's cache of
+//! whole [`CompileResult`]s.
 //!
 //! [`Session::compile`] runs all stages per the session's
 //! [`CompileConfig`]; [`Session::compile_batch`] fans whole compiles over
@@ -26,6 +31,7 @@
 //! times and counters) per input graph. Every failure anywhere in a
 //! session is one error type, [`MpsError`], tagged with its stage.
 
+use crate::cache::{CacheBudget, SingleFlightCache};
 use crate::error::{MpsError, Stage};
 pub use crate::metrics::StageMetrics;
 use mps_dfg::{AnalyzedDfg, Dfg};
@@ -36,9 +42,8 @@ use mps_patterns::{EnumerateConfig, PatternSet, PatternTable};
 use mps_scheduler::{EngineSchedule, Schedule, ScheduleEngine, ScheduleTrace};
 use mps_select::{SelectConfig, SelectEngine, SelectionOutcome};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Configuration of a whole staged compile: selection parameters, the two
 /// engine choices, and the optional tile-replay stage.
@@ -103,25 +108,20 @@ impl CompileConfig {
 }
 
 /// Cache key of one pattern table: everything
-/// [`PatternTable::build`]'s output depends on besides the graph. The
-/// worker policy is part of the key only to keep timing comparisons
-/// honest — parallel and sequential builds are bit-identical (the
-/// `prop_table` suite pins that), but a cached parallel table answering
-/// a sequential request would skew any measurement of the two paths.
+/// [`PatternTable::build`]'s output depends on besides the graph.
+/// Parallel and sequential builds are bit-identical (the `prop_table`
+/// suite pins that), so both kinds of request share one table.
 ///
 /// Public because the persistent table tier ([`crate::artifact`]) names
 /// each `pt-*.json` file by the graph hash plus
 /// [`TableKey::content_hash`], and seeding a [`TableCache`] from disk
 /// needs to reconstruct the exact key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TableKey {
     /// ALUs per tile (`C`), bounding pattern size during enumeration.
     pub capacity: usize,
     /// Enumeration span limit (`None` = unlimited).
     pub span: Option<u32>,
-    /// Whether the build fans out over workers (decision-identical to
-    /// sequential; in the key only to keep timing comparisons honest).
-    pub parallel: bool,
 }
 
 impl TableKey {
@@ -141,121 +141,30 @@ impl TableKey {
     }
 }
 
-/// What a [`TableSlot`] currently holds.
-#[derive(Debug, Default)]
-enum TableState {
-    /// The claiming session is still building.
-    #[default]
-    Pending,
-    /// The table landed; waiters take a clone.
-    Ready(Arc<PatternTable>),
-    /// The build was cancelled or panicked and the entry was removed:
-    /// waiters loop back and re-claim the key.
-    Abandoned,
-}
-
-/// One [`TableCache`] entry: a single-flight slot. The first session to
-/// claim a key builds into the slot; concurrent sessions on the same key
-/// block on the condvar until the table lands instead of re-enumerating.
-/// A build that dies — cancelled, deadline-expired, or panicked — marks
-/// the slot [`TableState::Abandoned`] instead of leaving it pending
-/// forever, so waiters wake and retry rather than deadlock.
-#[derive(Debug, Default)]
-struct TableSlot {
-    state: Mutex<TableState>,
-    cv: Condvar,
-}
-
-/// How a [`TableSlot::wait`] ended.
-enum TableWait {
-    Ready(Arc<PatternTable>),
-    /// The builder abandoned the slot; re-claim the key.
-    Abandoned,
-    /// The *waiter's own* cancel token fired while waiting.
-    Cancelled(mps_par::CancelKind),
-}
-
-impl TableSlot {
-    /// Block until the building session publishes or abandons, polling
-    /// the waiter's own `cancel` token (if any) so a deadline-bound
-    /// waiter gives up instead of outwaiting its budget.
-    fn wait(&self, cancel: Option<&CancelToken>) -> TableWait {
-        let mut state = self.state.lock().expect("table slot poisoned");
-        loop {
-            match &*state {
-                TableState::Ready(table) => return TableWait::Ready(Arc::clone(table)),
-                TableState::Abandoned => return TableWait::Abandoned,
-                TableState::Pending => {}
-            }
-            match cancel {
-                Some(token) => {
-                    if let Some(kind) = token.cancel_kind() {
-                        return TableWait::Cancelled(kind);
-                    }
-                    // Bounded sleep so the token is re-polled even if no
-                    // notify arrives.
-                    state = self
-                        .cv
-                        .wait_timeout(state, Duration::from_millis(20))
-                        .expect("table slot poisoned")
-                        .0;
-                }
-                None => state = self.cv.wait(state).expect("table slot poisoned"),
-            }
-        }
-    }
-
-    fn publish(&self, table: &Arc<PatternTable>) {
-        *self.state.lock().expect("table slot poisoned") = TableState::Ready(Arc::clone(table));
-        self.cv.notify_all();
-    }
-
-    fn abandon(&self) {
-        *self.state.lock().expect("table slot poisoned") = TableState::Abandoned;
-        self.cv.notify_all();
-    }
-}
-
-/// A **process-wide**, single-flight pattern-table cache shared across
-/// sessions.
+/// The single-flight pattern-table cache: a [`SingleFlightCache`] keyed
+/// by `(graph content hash, TableKey)` and charged
+/// [`crate::size::approx_table_bytes`] per table, plus a post-build
+/// persistence hook.
 ///
-/// The per-[`Session`] cache dies with its session; a serving process
-/// compiles the same graph from many short-lived sessions on many
-/// threads, so the expensive artifact — the §5.1 [`PatternTable`] — must
-/// be shared wider. Entries are keyed exactly like the session cache
-/// (capacity, span, worker policy) plus the graph's
-/// [`content_hash`](mps_dfg::Dfg::content_hash), and population is
-/// **single-flight**: when N sessions race on one key, one builds and
-/// N−1 block until the table is published, so a burst of identical
-/// requests costs one enumeration ([`Session::metrics`] shows one
-/// `table_builds` total across them; the property is pinned by the
-/// serving integration tests). A build that is cancelled or panics
-/// *abandons* its slot — the entry is removed, waiters wake and one of
-/// them re-claims — so a failed first flight never poisons the key.
+/// Every [`Session`] reads and populates one. [`Session::new`] and
+/// [`Session::with_config`] give the session a private, unbounded
+/// instance; [`Session::with_shared_tables`] hands it a **process-wide**
+/// one, so short-lived sessions over recurring graphs (the serving shape)
+/// skip the dominant cost. Population is single-flight: when N sessions
+/// race on one key, one builds and N−1 block until the table is
+/// published, so a burst of identical requests costs one enumeration
+/// ([`Session::metrics`] shows one `table_builds` total across them). A
+/// build that is cancelled or panics abandons its slot, so a failed
+/// first flight never poisons the key.
 ///
 /// Create with [`TableCache::new`] (unbounded) or
-/// [`TableCache::with_budget`], and hand an `Arc` of it to
-/// [`Session::with_shared_tables`]. Budgets apply to *ready* tables:
-/// when an admission pushes the cache over its entry or byte budget
-/// (bytes per [`crate::size::approx_table_bytes`]), least-recently-used
-/// ready tables are evicted until it fits — in-flight builds are never
-/// evicted, and sessions already holding an `Arc` keep their table.
-#[derive(Debug, Default)]
+/// [`TableCache::with_budget`]. Budgets apply to published tables, evicted
+/// least-recently-used first; in-flight builds are never evicted, and
+/// sessions already holding an `Arc` keep their table.
 pub struct TableCache {
-    /// Linear-scan entry list, like the session-local cache: the key
-    /// space is (graphs × a handful of policies), and lookups happen once
-    /// per enumerate stage, not in any inner loop.
-    entries: Mutex<Vec<CacheEntry>>,
-    /// Max *ready* entries, `None` = unbounded.
-    max_entries: Option<usize>,
-    /// Max total approximate bytes across ready entries, `None` = unbounded.
-    max_bytes: Option<usize>,
-    /// Monotone LRU clock; entries stamp themselves on every touch.
-    clock: AtomicU64,
-    /// Ready tables evicted to stay within budget, ever.
-    evictions: AtomicU64,
+    tables: SingleFlightCache<(u64, TableKey), PatternTable>,
     /// Post-publish hook for freshly built tables (persistence).
-    hook: BuildHookSlot,
+    hook: Mutex<Option<TableBuildHook>>,
 }
 
 /// Hook run after a freshly *built* table is published — not on cache
@@ -264,112 +173,69 @@ pub struct TableCache {
 /// the published table. Must not call back into the cache.
 pub type TableBuildHook = Arc<dyn Fn(u64, TableKey, &Arc<PatternTable>) + Send + Sync>;
 
-/// The hook storage, newtyped so [`TableCache`] keeps its derived
-/// `Debug`/`Default` despite holding a closure.
-#[derive(Default)]
-struct BuildHookSlot(Mutex<Option<TableBuildHook>>);
-
-impl fmt::Debug for BuildHookSlot {
+impl fmt::Debug for TableCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let installed = self.0.lock().map(|guard| guard.is_some()).unwrap_or(false);
-        write!(f, "BuildHookSlot(installed: {installed})")
+        f.debug_struct("TableCache")
+            .field("tables", &self.tables)
+            .finish_non_exhaustive()
     }
 }
 
-/// One cached table keyed by (graph content hash, table policy key).
-#[derive(Debug)]
-struct CacheEntry {
-    key: (u64, TableKey),
-    slot: Arc<TableSlot>,
-    /// Approximate size; `0` while the build is in flight.
-    bytes: usize,
-    /// LRU clock value at the last hit or admission.
-    stamp: u64,
-    /// Whether the slot holds a ready table (only ready entries count
-    /// toward budgets or are evictable).
-    ready: bool,
-}
-
-/// Removes the claimed entry and wakes waiters if the build never
-/// publishes — the drop path is what runs when `build` panics, which is
-/// exactly when a pending slot would otherwise deadlock every waiter.
-struct AbandonOnDrop<'a> {
-    cache: &'a TableCache,
-    key: (u64, TableKey),
-    armed: bool,
-}
-
-impl Drop for AbandonOnDrop<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.cache.abandon(self.key);
-        }
+impl Default for TableCache {
+    fn default() -> TableCache {
+        TableCache::new()
     }
 }
 
 impl TableCache {
     /// An empty, unbounded cache.
     pub fn new() -> TableCache {
-        TableCache::default()
+        TableCache::with_budget(None, None)
     }
 
     /// An empty cache with eviction budgets: at most `max_entries` ready
     /// tables and/or `max_bytes` total approximate bytes (`None` =
     /// unbounded in that dimension).
     pub fn with_budget(max_entries: Option<usize>, max_bytes: Option<usize>) -> TableCache {
-        TableCache {
+        let budget = CacheBudget {
             max_entries,
             max_bytes,
-            ..TableCache::default()
+        };
+        TableCache {
+            tables: SingleFlightCache::new(budget, crate::size::approx_table_bytes),
+            hook: Mutex::new(None),
         }
     }
 
     /// Number of tables (and in-flight builds) currently cached.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("table cache poisoned").len()
+        self.tables.len()
     }
 
     /// `true` if nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tables.is_empty()
     }
 
     /// Ready tables evicted to stay within budget since construction.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.tables.evictions()
     }
 
     /// Install (or replace) the post-build hook. The serving layer uses
     /// this to persist freshly built tables; hits and seeds don't fire
     /// it, so a table loaded from disk is never re-persisted.
     pub fn set_build_hook(&self, hook: TableBuildHook) {
-        *self.hook.0.lock().expect("table hook poisoned") = Some(hook);
+        *self.hook.lock().expect("table hook poisoned") = Some(hook);
     }
 
     /// Insert an already-built table — the warm-start path, fed from
     /// [`crate::artifact::ArtifactStore::load_tables`]. An existing
-    /// entry (ready *or* in-flight) wins and the seed is dropped, so
-    /// seeding never clobbers live state; an inserted seed goes through
-    /// the same budget/LRU discipline as a built table. Returns `true`
-    /// if the table was inserted.
+    /// entry (ready *or* in-flight) wins and the seed is dropped; an
+    /// inserted seed is budget-admitted like a built table. Returns
+    /// `true` if the table was inserted.
     pub fn seed(&self, graph: u64, key: TableKey, table: Arc<PatternTable>) -> bool {
-        let bytes = crate::size::approx_table_bytes(&table);
-        let slot = Arc::new(TableSlot::default());
-        slot.publish(&table);
-        let mut entries = self.entries.lock().expect("table cache poisoned");
-        if entries.iter().any(|e| e.key == (graph, key)) {
-            return false;
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        entries.push(CacheEntry {
-            key: (graph, key),
-            slot,
-            bytes,
-            stamp,
-            ready: true,
-        });
-        self.enforce_budget(&mut entries);
-        true
+        self.tables.seed((graph, key), Ok(table))
     }
 
     /// Fetch the table for `(graph, key)`, building it with `build` if
@@ -379,9 +245,7 @@ impl TableCache {
     ///
     /// `cancel` is the *caller's* budget: it bounds both waiting on
     /// another session's in-flight build and (via `build` itself) the
-    /// caller's own build. A build that returns `Err` abandons the slot,
-    /// so waiters re-claim with their own budgets instead of inheriting
-    /// this one's failure.
+    /// caller's own build.
     fn get_or_build(
         &self,
         graph: u64,
@@ -389,118 +253,18 @@ impl TableCache {
         cancel: Option<&CancelToken>,
         build: impl FnOnce() -> Result<PatternTable, MpsError>,
     ) -> Result<(Arc<PatternTable>, bool), MpsError> {
-        // `build` runs at most once per call: the claiming arm consumes
-        // it and always returns; the waiting arm only loops back to
-        // claim after an abandonment.
-        let mut build = Some(build);
-        loop {
-            let (slot, claimed) = {
-                let mut entries = self.entries.lock().expect("table cache poisoned");
-                let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-                match entries.iter_mut().find(|e| e.key == (graph, key)) {
-                    Some(entry) => {
-                        entry.stamp = stamp;
-                        (Arc::clone(&entry.slot), false)
-                    }
-                    None => {
-                        let slot = Arc::new(TableSlot::default());
-                        entries.push(CacheEntry {
-                            key: (graph, key),
-                            slot: Arc::clone(&slot),
-                            bytes: 0,
-                            stamp,
-                            ready: false,
-                        });
-                        (slot, true)
-                    }
-                }
-            };
-            if !claimed {
-                // Wait outside the entries lock so other keys stay available.
-                match slot.wait(cancel) {
-                    TableWait::Ready(table) => return Ok((table, false)),
-                    TableWait::Abandoned => continue,
-                    TableWait::Cancelled(kind) => {
-                        return Err(MpsError::from_cancel(kind, Stage::Enumerate))
-                    }
-                }
+        let (outcome, hit) = self
+            .tables
+            .get_or_compute((graph, key), cancel, || build().map(Arc::new))
+            .map_err(|kind| MpsError::from_cancel(kind, Stage::Enumerate))?;
+        let table = outcome?;
+        if !hit {
+            let hook = self.hook.lock().expect("table hook poisoned").clone();
+            if let Some(hook) = hook {
+                hook(graph, key, &table);
             }
-            // Build outside the entries lock: other keys stay available,
-            // and same-key sessions wait on the slot, not the whole cache.
-            let mut guard = AbandonOnDrop {
-                cache: self,
-                key: (graph, key),
-                armed: true,
-            };
-            let built = (build.take().expect("claim happens at most once"))();
-            return match built {
-                Ok(table) => {
-                    let table = Arc::new(table);
-                    guard.armed = false;
-                    slot.publish(&table);
-                    self.admit(graph, key, crate::size::approx_table_bytes(&table));
-                    let hook = self.hook.0.lock().expect("table hook poisoned").clone();
-                    if let Some(hook) = hook {
-                        hook(graph, key, &table);
-                    }
-                    Ok((table, true))
-                }
-                // The guard abandons on drop; waiters retry-claim.
-                Err(e) => Err(e),
-            };
         }
-    }
-
-    /// Remove a pending entry whose build died and wake its waiters.
-    fn abandon(&self, key: (u64, TableKey)) {
-        let slot = {
-            let mut entries = self.entries.lock().expect("table cache poisoned");
-            match entries.iter().position(|e| e.key == key && !e.ready) {
-                Some(i) => entries.remove(i).slot,
-                None => return,
-            }
-        };
-        slot.abandon();
-    }
-
-    /// Mark a freshly published entry ready and enforce the budgets.
-    fn admit(&self, graph: u64, key: TableKey, bytes: usize) {
-        let mut entries = self.entries.lock().expect("table cache poisoned");
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = entries.iter_mut().find(|e| e.key == (graph, key)) {
-            entry.ready = true;
-            entry.bytes = bytes;
-            entry.stamp = stamp;
-        }
-        self.enforce_budget(&mut entries);
-    }
-
-    /// Evict least-recently-used ready entries until the budgets hold.
-    fn enforce_budget(&self, entries: &mut Vec<CacheEntry>) {
-        loop {
-            let ready_count = entries.iter().filter(|e| e.ready).count();
-            let ready_bytes: usize = entries.iter().filter(|e| e.ready).map(|e| e.bytes).sum();
-            let over = self.max_entries.is_some_and(|m| ready_count > m)
-                || self.max_bytes.is_some_and(|m| ready_bytes > m);
-            if !over {
-                break;
-            }
-            // Evict the least-recently-used ready table. The entry just
-            // admitted carries the freshest stamp, so it goes last — and
-            // if it alone busts the byte budget it is evicted too;
-            // holders of its `Arc` are unaffected.
-            let Some(idx) = entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.ready)
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-            else {
-                break;
-            };
-            entries.remove(idx);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+        Ok((table, !hit))
     }
 }
 
@@ -529,12 +293,12 @@ pub struct Session {
     /// The analyzed graph (`None` until [`Session::analyze`]).
     adfg: Option<AnalyzedDfg>,
     cfg: CompileConfig,
-    /// Cached tables; a handful of entries at most, so a linear scan
-    /// beats hashing the key.
-    tables: Vec<(TableKey, Arc<PatternTable>)>,
-    /// The process-wide table cache this session shares, if any, plus the
-    /// graph's content hash (computed once at construction).
-    shared: Option<(u64, Arc<TableCache>)>,
+    /// The graph's half of every table key: its content hash in a shared
+    /// cache, `0` in a private one (which only ever sees this graph).
+    graph: u64,
+    /// The table cache this session reads and populates — private, or
+    /// shared via [`Session::with_shared_tables`]. Clones share it.
+    tables: Arc<TableCache>,
     /// Deadline/cancellation budget honored by [`Session::compile`] at
     /// every stage boundary and inside the enumeration claim loops.
     cancel: Option<CancelToken>,
@@ -582,30 +346,26 @@ impl Session {
             dfg: Some(dfg),
             adfg: None,
             cfg,
-            tables: Vec::new(),
-            shared: None,
+            graph: 0,
+            tables: Arc::new(TableCache::new()),
             cancel: None,
             probe: None,
             metrics: StageMetrics::default(),
         }
     }
 
-    /// A session over `dfg` that additionally reads and populates a
-    /// **process-wide** [`TableCache`], keyed by the graph's
-    /// [`content_hash`](Dfg::content_hash) (computed here, once).
-    ///
-    /// The session-local cache still fronts it — a chain re-entering a
-    /// key this session already holds touches no locks — but first use of
-    /// a key consults `cache` before enumerating, so short-lived sessions
-    /// over recurring graphs (the serving shape) skip the dominant cost.
-    /// Metrics keep their meaning: a table served from the shared cache
-    /// counts as a [`StageMetrics::table_cache_hits`], an actual build as
-    /// a [`StageMetrics::table_builds`] — so N racing sessions over one
-    /// new key record exactly one build among them.
+    /// A session over `dfg` that reads and populates a **process-wide**
+    /// [`TableCache`] instead of a private one, keyed by the graph's
+    /// [`content_hash`](Dfg::content_hash) (computed here, once), so
+    /// short-lived sessions over recurring graphs (the serving shape) skip
+    /// the dominant cost. Metrics keep their meaning: a table served from
+    /// the cache counts as a [`StageMetrics::table_cache_hits`], an actual
+    /// build as a [`StageMetrics::table_builds`] — so N racing sessions
+    /// over one new key record exactly one build among them.
     pub fn with_shared_tables(dfg: Dfg, cfg: CompileConfig, cache: Arc<TableCache>) -> Session {
-        let graph = dfg.content_hash();
         Session {
-            shared: Some((graph, cache)),
+            graph: dfg.content_hash(),
+            tables: cache,
             ..Session::with_config(dfg, cfg)
         }
     }
@@ -654,7 +414,8 @@ impl Session {
         &self.metrics
     }
 
-    /// Number of distinct pattern tables currently cached.
+    /// Number of distinct pattern tables in the session's cache (the
+    /// shared one's total, for [`Session::with_shared_tables`]).
     pub fn cached_tables(&self) -> usize {
         self.tables.len()
     }
@@ -798,8 +559,8 @@ impl<'s> Analysis<'s> {
 
     /// Run the enumeration stage: build the span-limited §5.1 pattern
     /// table (antichain classification with `h(p̄, n)` frequencies) — or
-    /// reuse the session's cached table for this `(capacity, span,
-    /// worker-policy)` key, which skips the pipeline's dominant cost.
+    /// reuse the cached table for this `(capacity, span)` key, which
+    /// skips the pipeline's dominant cost.
     ///
     /// This fluent entry ignores any session [`CancelToken`] — the
     /// caller driving stages by hand budgets itself. [`Session::compile`]
@@ -811,9 +572,9 @@ impl<'s> Analysis<'s> {
 
     /// [`Analysis::enumerate`] with an optional cancellation budget: the
     /// token bounds both the build's claim loops (via
-    /// [`PatternTable::build_with_cancel`]) and, when the session shares
-    /// a [`TableCache`], the wait on another session's in-flight build.
-    /// With `cancel = None` this cannot fail.
+    /// [`PatternTable::build_with_cancel`]) and the wait on another
+    /// session's in-flight build of the same key. With `cancel = None`
+    /// this cannot fail.
     fn enumerate_impl(
         self,
         span: Option<u32>,
@@ -826,52 +587,31 @@ impl<'s> Analysis<'s> {
         let key = TableKey {
             capacity: session.cfg.select.capacity,
             span,
+        };
+        let ecfg = EnumerateConfig {
+            capacity: key.capacity,
+            span_limit: span,
             parallel: session.cfg.select.parallel,
         };
-        let table = match session.tables.iter().find(|(k, _)| *k == key) {
-            Some((_, table)) => {
-                metrics.table_cache_hits += 1;
-                session.metrics.table_cache_hits += 1;
-                Arc::clone(table)
-            }
-            None => {
-                let ecfg = EnumerateConfig {
-                    capacity: key.capacity,
-                    span_limit: key.span,
-                    parallel: key.parallel,
-                };
-                let build_one = |adfg: &AnalyzedDfg| -> Result<PatternTable, MpsError> {
-                    match cancel {
-                        Some(token) => PatternTable::build_with_cancel(adfg, ecfg, token)
-                            .map_err(|kind| MpsError::from_cancel(kind, Stage::Enumerate)),
-                        None => Ok(PatternTable::build(adfg, ecfg)),
-                    }
-                };
-                let t0 = Instant::now();
-                // First use of this key in this session: build — unless
-                // the session shares a process-wide cache that already
-                // holds (or is concurrently building) the table.
-                let (table, built) = match &session.shared {
-                    Some((graph, cache)) => {
-                        let adfg = session.adfg.as_ref().expect("analysis ran");
-                        cache.get_or_build(*graph, key, cancel, || build_one(adfg))?
-                    }
-                    None => (Arc::new(build_one(session.analyzed())?), true),
-                };
-                let dt = t0.elapsed().as_secs_f64();
-                metrics.enumerate_sec += dt;
-                session.metrics.enumerate_sec += dt;
-                if built {
-                    metrics.table_builds += 1;
-                    session.metrics.table_builds += 1;
-                } else {
-                    metrics.table_cache_hits += 1;
-                    session.metrics.table_cache_hits += 1;
-                }
-                session.tables.push((key, Arc::clone(&table)));
-                table
-            }
-        };
+        let adfg = session.analyzed();
+        let t0 = Instant::now();
+        let (table, built) = session
+            .tables
+            .get_or_build(session.graph, key, cancel, || match cancel {
+                Some(token) => PatternTable::build_with_cancel(adfg, ecfg, token)
+                    .map_err(|kind| MpsError::from_cancel(kind, Stage::Enumerate)),
+                None => Ok(PatternTable::build(adfg, ecfg)),
+            })?;
+        let dt = t0.elapsed().as_secs_f64();
+        metrics.enumerate_sec += dt;
+        session.metrics.enumerate_sec += dt;
+        if built {
+            metrics.table_builds += 1;
+            session.metrics.table_builds += 1;
+        } else {
+            metrics.table_cache_hits += 1;
+            session.metrics.table_cache_hits += 1;
+        }
         metrics.antichains = table.total_antichains();
         metrics.table_patterns = table.len();
         session.metrics.antichains = metrics.antichains;
@@ -885,7 +625,7 @@ impl<'s> Analysis<'s> {
     }
 }
 
-/// Stage artifact: the pattern table of one `(span, policy)` key.
+/// Stage artifact: the pattern table of one `(capacity, span)` key.
 /// Produced by [`Analysis::enumerate`].
 #[derive(Debug)]
 pub struct Enumerated<'s> {
@@ -1312,6 +1052,7 @@ mod tests {
     use super::*;
     use mps_select::{select_and_schedule, PipelineConfig};
     use mps_workloads::{fig2, fig4};
+    use std::time::Duration;
 
     #[test]
     fn staged_chain_matches_one_shot_pipeline() {
@@ -1541,7 +1282,6 @@ mod tests {
         let key = TableKey {
             capacity: 5,
             span: None,
-            parallel: false,
         };
         // First flight panics mid-build; the drop guard must remove the
         // pending entry and wake waiters.

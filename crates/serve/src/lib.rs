@@ -5,20 +5,20 @@
 //! lives". A [`Server`] accepts newline-delimited JSON requests over a
 //! TCP socket (thread per connection) or stdin/stdout, admits compiles
 //! through a bounded queue, fans batches over [`mps::par`] workers, and
-//! layers two caches:
+//! layers two instances of one cache type, [`mps::SingleFlightCache`]:
 //!
-//! * an **artifact cache** ([`cache::ArtifactCache`]): whole
-//!   [`mps::CompileResult`]s keyed by `(graph content hash, config
-//!   content hash)` — a repeated request is a hash lookup;
+//! * an **artifact cache**: whole [`mps::CompileResult`]s keyed by
+//!   `(graph content hash, config content hash)` — a repeated request is
+//!   a hash lookup;
 //! * a process-wide **pattern-table cache** ([`mps::TableCache`])
 //!   underneath: different configs over one graph share the expensive
 //!   §5.1 enumeration.
 //!
-//! Both tiers are single-flight, so a burst of identical requests runs
-//! one compile — and both are overload-proof: optional entry/byte
-//! budgets with LRU eviction, abandonment (a panicked or cancelled
-//! compute wakes its waiters instead of wedging them), and no caching
-//! of transient (deadline/cancel) outcomes. Requests may carry a
+//! The type is single-flight, so a burst of identical requests runs one
+//! compile — and overload-proof: optional entry/byte budgets with LRU
+//! eviction, abandonment (a panicked or cancelled compute wakes its
+//! waiters instead of wedging them), and no caching of transient
+//! (deadline/cancel) outcomes. Requests may carry a
 //! `deadline_ms`; a full admission queue **sheds** with a structured
 //! `overloaded` reply and retry hint rather than blocking, and a
 //! [`FaultPlan`] can inject stage delays/failures, dropped replies and
@@ -79,7 +79,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 mod client;
 pub mod fault;
 pub mod histogram;

@@ -3,10 +3,11 @@
 //!
 //! One [`Server`] owns all serving state behind an `Arc`:
 //!
-//! * an [`ArtifactCache`] (whole compiles, sharded, single-flight,
-//!   optionally budgeted with LRU eviction),
-//! * a process-wide [`mps::TableCache`] underneath it (pattern tables
-//!   shared across *different* configs of one graph, same budgeting),
+//! * two instances of the one [`mps::SingleFlightCache`] type (sharded,
+//!   single-flight, optionally budgeted with LRU eviction): the artifact
+//!   cache of whole compiles, and underneath it the process-wide
+//!   [`mps::TableCache`] of pattern tables shared across *different*
+//!   configs of one graph,
 //! * a [`BoundedQueue`] admitting compile requests — a full queue
 //!   **sheds** (structured `overloaded` reply with a retry hint)
 //!   instead of blocking the connection thread, so overload degrades
@@ -44,7 +45,6 @@
 //! receiving daemon computes locally (`peer_failovers`) so the client
 //! is answered either way.
 
-use crate::cache::{ArtifactCache, CacheBudget, WaitTimedOut};
 use crate::client::Client;
 use crate::fault::FaultPlan;
 use crate::histogram::StageHistograms;
@@ -56,7 +56,10 @@ use crate::protocol::{
 use crate::ring::{Owner, PeerRing};
 use mps::artifact::ArtifactStore;
 use mps::par::{par_map_in, BoundedQueue, PushError};
-use mps::{CancelToken, Session, SharedStageMetrics, StageProbe, TableCache};
+use mps::{
+    CacheBudget, CancelToken, CompileResult, Session, SharedStageMetrics, SingleFlightCache,
+    StageProbe, TableCache,
+};
 use serde::Value;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -75,8 +78,6 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Admission-queue capacity; pushes beyond it shed (default 64).
     pub queue: usize,
-    /// Artifact-cache shards (default 8).
-    pub shards: usize,
     /// Artifact-cache entry budget (default unbounded).
     pub max_artifacts: Option<usize>,
     /// Artifact-cache byte budget, in [`mps::approx_result_bytes`]
@@ -146,7 +147,6 @@ impl Default for ServeOptions {
         ServeOptions {
             workers: mps::par::parallelism(),
             queue: 64,
-            shards: 8,
             max_artifacts: None,
             max_artifact_bytes: None,
             max_tables: None,
@@ -208,7 +208,8 @@ struct State {
     opts: ServeOptions,
     started: Instant,
     tables: Arc<TableCache>,
-    artifacts: ArtifactCache,
+    /// Whole compiles keyed by `(graph hash, config hash)`.
+    artifacts: SingleFlightCache<(u64, u64), CompileResult>,
     probe: Option<StageProbe>,
     metrics: SharedStageMetrics,
     hist: StageHistograms,
@@ -807,10 +808,11 @@ impl State {
         };
         let engine = cfg.engine.name().to_string();
         let key = (dfg.content_hash(), cfg.content_hash());
-        let fetched = self.artifacts.get_or_compute(key, deadline, || {
+        let cancel = deadline.map(CancelToken::deadline_at);
+        let fetched = self.artifacts.get_or_compute(key, cancel.as_ref(), || {
             let mut session = Session::with_shared_tables(dfg, cfg, Arc::clone(&self.tables));
-            if let Some(d) = deadline {
-                session.set_cancel_token(CancelToken::deadline_at(d));
+            if let Some(token) = &cancel {
+                session.set_cancel_token(token.clone());
             }
             if let Some(probe) = &self.probe {
                 session.set_stage_probe(probe.clone());
@@ -824,7 +826,7 @@ impl State {
         });
         let (outcome, cached) = match fetched {
             Ok(pair) => pair,
-            Err(WaitTimedOut) => {
+            Err(_) => {
                 self.deadline_hits.fetch_add(1, Ordering::Relaxed);
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 let error = "deadline exceeded waiting on an identical in-flight compile";
@@ -1069,12 +1071,12 @@ impl Server {
         // Fleet-aware budgets: the configured budgets describe the whole
         // corpus, but a ring member only owns ~1/ring of the keys — so
         // every cache tier enforces the ring-scaled share.
-        let artifacts = ArtifactCache::with_budget(
-            opts.shards,
+        let artifacts = SingleFlightCache::new(
             CacheBudget {
                 max_entries: opts.effective_budget(opts.max_artifacts),
                 max_bytes: opts.effective_budget(opts.max_artifact_bytes),
             },
+            mps::approx_result_bytes,
         );
         let tables = Arc::new(TableCache::with_budget(
             opts.effective_budget(opts.max_tables),
@@ -1459,7 +1461,6 @@ mod tests {
         ServeOptions {
             workers: 1,
             queue: 4,
-            shards: 2,
             ..ServeOptions::default()
         }
     }

@@ -196,7 +196,6 @@ fn table_entries_round_trip_through_disk_and_reject_tampered_parameters() {
     let key = mps::TableKey {
         capacity: 4,
         span: Some(2),
-        parallel: false,
     };
     let table = PatternTable::build(
         &adfg,

@@ -37,7 +37,6 @@ fn overload_storm_sheds_answers_and_drains() {
     let (addr, server) = spawn_loopback(ServeOptions {
         workers: 1,
         queue: 2,
-        shards: 2,
         max_artifacts: Some(2),
         max_tables: Some(2),
         faults: FaultPlan {
@@ -151,7 +150,6 @@ fn cancelled_compile_clears_single_flight_slot() {
     let (addr, server) = spawn_loopback(ServeOptions {
         workers: 2,
         queue: 8,
-        shards: 2,
         faults: FaultPlan {
             delay_stage: Some((Stage::Select, 60)),
             ..FaultPlan::default()
@@ -194,7 +192,6 @@ fn dropped_replies_reconnect_and_retry() {
     let (addr, server) = spawn_loopback(ServeOptions {
         workers: 1,
         queue: 8,
-        shards: 2,
         faults: FaultPlan {
             drop_reply_every: Some(2),
             ..FaultPlan::default()
@@ -240,7 +237,6 @@ fn overlong_request_lines_are_refused() {
     let (addr, server) = spawn_loopback(ServeOptions {
         workers: 1,
         queue: 4,
-        shards: 2,
         max_line_bytes: 256,
         ..Default::default()
     })
@@ -275,7 +271,6 @@ fn client_timeout_bounds_slow_server() {
     let (addr, server) = spawn_loopback(ServeOptions {
         workers: 1,
         queue: 4,
-        shards: 2,
         faults: FaultPlan {
             slow_read_ms: Some(400),
             ..FaultPlan::default()

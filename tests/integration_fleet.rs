@@ -31,7 +31,6 @@ fn member_opts(advertise: SocketAddr, members: &[SocketAddr]) -> ServeOptions {
     ServeOptions {
         workers: 2,
         queue: 16,
-        shards: 2,
         advertise: advertise.to_string(),
         peers: members
             .iter()

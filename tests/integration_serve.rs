@@ -403,7 +403,6 @@ fn shutdown_drains_and_refuses_new_work() {
     let server = Server::new(ServeOptions {
         workers: 2,
         queue: 16,
-        shards: 2,
         ..Default::default()
     });
     // Seed work through the queue, then shut down: the in-flight compile
