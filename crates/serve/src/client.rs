@@ -96,17 +96,27 @@ impl Client {
     }
 
     /// Send one raw request line, return the raw reply line.
+    ///
+    /// `UnexpectedEof` means the server closed the connection before any
+    /// reply byte; a read failure after part of the reply arrived is
+    /// reported as `InvalidData`, so a caller can tell a request that was
+    /// never answered from one that was cut mid-reply.
     pub fn send_line(&mut self, line: &str) -> io::Result<String> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
         let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(io::Error::new(
+        match self.reader.read_line(&mut reply) {
+            Ok(0) => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
-            ));
+            )),
+            Ok(_) => Ok(reply.trim_end().to_string()),
+            Err(e) if !reply.is_empty() => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("connection failed mid-reply: {e}"),
+            )),
+            Err(e) => Err(e),
         }
-        Ok(reply.trim_end().to_string())
     }
 
     /// Send a typed request, decode the typed reply.

@@ -66,11 +66,13 @@
 //! over the membership, so they all agree which member *owns* each
 //! compile key. A compile arriving at a non-owner is forwarded one hop
 //! to its owner (the `forwarded` wire flag makes a second hop
-//! impossible); if the owner is unreachable, shedding past one courtesy
-//! retry, or past the forward deadline, the receiving daemon **fails
-//! over** — computes locally, answers the client, and pushes the
-//! finished artifact to the owner (hinted handoff) so the ring converges
-//! back to one authoritative copy. Peer health is tracked per member by
+//! impossible) over a pooled persistent connection, which probes and
+//! handoffs share, so a forwarded hit pays no TCP dial (`peer_dials` in
+//! `stats` counts the dials made); if the owner is unreachable,
+//! shedding past one courtesy retry, or past the forward deadline, the
+//! receiving daemon **fails over** — computes locally, answers the
+//! client, and pushes the finished artifact to the owner (hinted
+//! handoff) so the ring converges back to one authoritative copy. Peer health is tracked per member by
 //! [`peer::PeerTable`] (Healthy → Probation → Ejected with jittered
 //! backoff re-probes), fed by in-band forward results and a background
 //! ping prober. The `peers` verb and `peer_*` stats counters expose all

@@ -345,6 +345,12 @@ pub struct StatsReply {
     pub tables_loaded: u64,
     /// Compiles forwarded to their fleet owner and answered by it.
     pub peer_forwards: u64,
+    /// Fresh TCP connections opened to fleet peers. Forwards, probes and
+    /// handoffs reuse pooled connections, so this stays near one per
+    /// peer per concurrent caller; a climbing count means peers keep
+    /// closing or failing connections.
+    #[serde(default)]
+    pub peer_dials: u64,
     /// Compiles computed locally because their owner was down, past the
     /// forward deadline, or still shedding after its retry hint.
     pub peer_failovers: u64,

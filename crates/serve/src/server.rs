@@ -33,8 +33,10 @@
 //! inline by the connection thread — they must stay responsive while
 //! the queue is saturated. `shutdown` closes the queue, which gives
 //! clean draining for free: the dispatcher finishes everything already
-//! admitted, then exits; new compiles are refused with an error reply;
-//! the accept loop and connection threads notice the flag and wind down.
+//! admitted, then exits; new compiles are refused with an error reply.
+//! The accept loop blocks in `accept`, so `shutdown` also wakes it by
+//! connecting to the listener's own address; idle connection threads
+//! notice the flag on their next read-timeout tick and wind down.
 //!
 //! With `peers` configured the server is one member of a **fleet**: a
 //! [`PeerRing`] routes each compile to its rendezvous owner (see
@@ -43,7 +45,9 @@
 //! replicate finished artifacts — including hinted handoff of results a
 //! non-owner computed while the owner was down. Owner unusable ⇒ the
 //! receiving daemon computes locally (`peer_failovers`) so the client
-//! is answered either way.
+//! is answered either way. Forwards, probes and handoffs all travel
+//! pooled persistent connections (`Fleet::round_trip`), so a hit
+//! forwarded to its owner costs one round trip, not a TCP dial.
 
 use crate::client::Client;
 use crate::fault::FaultPlan;
@@ -57,12 +61,13 @@ use crate::ring::{Owner, PeerRing};
 use mps::artifact::ArtifactStore;
 use mps::par::{par_map_in, BoundedQueue, PushError};
 use mps::{
-    CacheBudget, CancelToken, CompileResult, Session, SharedStageMetrics, SingleFlightCache,
-    StageProbe, TableCache,
+    CacheBudget, CancelToken, CompileConfig, CompileResult, Session, SharedStageMetrics,
+    SingleFlightCache, StageProbe, TableCache,
 };
 use serde::Value;
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -118,9 +123,11 @@ pub struct ServeOptions {
     pub advertise: String,
     /// Milliseconds between peer health-probe rounds (default 1000).
     pub probe_interval_ms: u64,
-    /// Budget for one forward hop — dial plus the peer's reply — in
-    /// milliseconds (default 2000). Tighter of this and the request's
-    /// own deadline; a forward past it fails over to local compute.
+    /// Budget for one forward hop — the round trip on a pooled peer
+    /// connection, including the dial when no idle connection exists —
+    /// in milliseconds (default 2000). Tighter of this and the request's
+    /// own deadline; a forward past it fails over to local compute, and
+    /// is never retried.
     pub forward_timeout_ms: u64,
     /// Chaos faults to inject (default: none).
     pub faults: FaultPlan,
@@ -170,8 +177,8 @@ impl Default for ServeOptions {
 const PENDING_HANDOFFS_MAX: usize = 64;
 
 /// Fleet state, present only when the server was started with peers:
-/// the rendezvous ring, the per-peer health table, and the hinted
-/// handoffs waiting for their owner to come back.
+/// the rendezvous ring, the per-peer health table, the hinted handoffs
+/// waiting for their owner to come back, and the peer connection pool.
 struct Fleet {
     ring: PeerRing,
     table: PeerTable,
@@ -179,6 +186,111 @@ struct Fleet {
     /// owner was unreachable; the prober flushes them when it next sees
     /// the owner healthy, so a restarted peer re-warms from the fleet.
     pending: Mutex<Vec<(String, String)>>,
+    /// Idle connections per peer address, shared by forwards, probes and
+    /// handoffs. A caller takes one for its round trip and puts it back
+    /// afterwards, so a peer never has more pooled connections than it
+    /// ever had concurrent callers.
+    idle: Mutex<HashMap<String, Vec<Client>>>,
+    /// Fresh TCP connections opened to peers (`peer_dials` in stats).
+    dials: AtomicU64,
+}
+
+impl Fleet {
+    /// One request/reply exchange with peer `addr`: take an idle pooled
+    /// connection (or dial one), send `line`, read and parse one reply
+    /// line, all within `timeout`.
+    ///
+    /// The connection goes back to the pool only after a reply the
+    /// forward path can use (a success, a compile error or `overloaded`);
+    /// `shutting_down`, an unintelligible reply, a timeout or any I/O
+    /// error drops it. A *reused* connection that fails with EOF, reset
+    /// or broken pipe before any reply byte was closed by the peer while
+    /// it sat idle (a restarted peer, say) and is retried once on a fresh
+    /// dial. A timeout is never retried: it is the peer's verdict, and a
+    /// retry would double the caller's budget.
+    fn round_trip(&self, addr: &str, line: &str, timeout: Duration) -> io::Result<(String, Reply)> {
+        let until = Instant::now() + timeout;
+        let pooled = self
+            .idle
+            .lock()
+            .expect("peer pool poisoned")
+            .get_mut(addr)
+            .and_then(Vec::pop);
+        let reused = pooled.is_some();
+        let mut client = match pooled {
+            Some(client) => client,
+            None => self.dial(addr, timeout)?,
+        };
+        let mut sent = exchange(&mut client, line, timeout);
+        if reused && sent.as_ref().is_err_and(is_stale) {
+            let left = until.saturating_duration_since(Instant::now());
+            if !left.is_zero() {
+                client = self.dial(addr, left)?;
+                sent = exchange(&mut client, line, left);
+            }
+        }
+        let text = sent?;
+        let reply = Reply::from_line(&text).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("unintelligible peer reply: {e}"),
+            )
+        })?;
+        if !matches!(&reply, Reply::Error(e) if e.code.as_deref() == Some("shutting_down")) {
+            self.idle
+                .lock()
+                .expect("peer pool poisoned")
+                .entry(addr.to_string())
+                .or_default()
+                .push(client);
+        }
+        Ok((text, reply))
+    }
+
+    /// Open a fresh connection to peer `addr`, with `timeout` bounding
+    /// the connect, and count it. Only [`Fleet::round_trip`] dials: when
+    /// the pool holds no idle connection to `addr`, or a reused one was
+    /// stale. Every round trip re-arms the read and write timeouts, so a
+    /// dead peer never holds a thread past the caller's budget.
+    fn dial(&self, addr: &str, timeout: Duration) -> io::Result<Client> {
+        let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("peer address {addr} resolves to nothing"),
+            )
+        })?;
+        let client = Client::connect_timeout(&sockaddr, timeout)?;
+        self.dials.fetch_add(1, Ordering::Relaxed);
+        Ok(client)
+    }
+}
+
+/// Send one line on `client` and read its reply, both bounded by
+/// `timeout`.
+fn exchange(client: &mut Client, line: &str, timeout: Duration) -> io::Result<String> {
+    client.set_timeout(Some(timeout))?;
+    client.send_line(line)
+}
+
+/// Did a reused connection fail because the peer had already closed it?
+/// [`Client::send_line`] reports EOF only when no reply byte arrived, and
+/// a failure after a partial reply as `InvalidData`, so these kinds mean
+/// the request was never answered.
+fn is_stale(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset | io::ErrorKind::BrokenPipe
+    )
+}
+
+/// A compile request resolved to its graph, config and artifact key.
+/// The fleet path resolves once to route, and hands the result to the
+/// worker in its [`Job`] so the graph is not resolved and hashed twice.
+struct Resolved {
+    workload: String,
+    dfg: mps::dfg::Dfg,
+    cfg: CompileConfig,
+    key: (u64, u64),
 }
 
 /// One forward attempt's outcome, as the failover policy needs it
@@ -194,10 +306,12 @@ enum Forwarded {
     Down(String),
 }
 
-/// One admitted compile: the request, its deadline (absolute, fixed at
-/// admission) and the channel its reply line goes back on.
+/// One admitted compile: the request, its resolution when the fleet path
+/// already made it, its deadline (absolute, fixed at admission) and the
+/// channel its reply line goes back on.
 struct Job {
     req: Request,
+    resolved: Option<Resolved>,
     deadline: Option<Instant>,
     reply: mpsc::Sender<String>,
 }
@@ -239,6 +353,9 @@ struct State {
     /// fault; not surfaced in stats.
     forward_attempts: AtomicU64,
     shutdown: AtomicBool,
+    /// Where `run_tcp` is listening (an unspecified IP mapped to
+    /// loopback), so `shutdown` can wake its blocking `accept`.
+    listen_addr: Mutex<Option<SocketAddr>>,
     log: Mutex<Option<Box<dyn Write + Send>>>,
 }
 
@@ -280,6 +397,7 @@ impl State {
             "shutdown" => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 self.queue.close();
+                self.wake_accept();
                 self.log_event("shutdown", &[]);
                 (
                     encode(&ShutdownReply {
@@ -305,6 +423,16 @@ impl State {
         }
     }
 
+    /// Wake a `run_tcp` blocked in `accept` so it sees the shutdown flag:
+    /// connect to the listener's own address and hang up. A no-op when no
+    /// TCP front-end is running.
+    fn wake_accept(&self) {
+        let addr = *self.listen_addr.lock().expect("listen address poisoned");
+        if let Some(addr) = addr {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
+    }
+
     /// How long a shed client should wait before retrying: the current
     /// backlog's estimated drain time at the observed median **accepted**
     /// compile latency (with a coarse floor before any compile has been
@@ -325,7 +453,9 @@ impl State {
     /// Admit a compile through the bounded queue and wait for its
     /// reply. A full queue sheds with an `overloaded` reply; a request
     /// whose deadline already passed is refused without queueing.
-    fn admit_compile(self: &Arc<State>, req: Request) -> String {
+    /// `resolved` is the request's resolution when the caller already
+    /// made one; without it the worker resolves.
+    fn admit_compile(self: &Arc<State>, req: Request, resolved: Option<Resolved>) -> String {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let id = req.id;
         let deadline = req
@@ -343,6 +473,7 @@ impl State {
         let (tx, rx) = mpsc::channel();
         match self.queue.try_push(Job {
             req,
+            resolved,
             deadline,
             reply: tx,
         }) {
@@ -388,23 +519,24 @@ impl State {
     /// a copy of the artifact ([`State::handoff`]).
     fn fleet_compile(self: &Arc<State>, req: Request) -> String {
         let Some(fleet) = &self.fleet else {
-            return self.admit_compile(req);
+            return self.admit_compile(req, None);
         };
         if req.forwarded {
             // One hop max: a forwarded compile is computed here, always.
-            return self.admit_compile(req);
+            return self.admit_compile(req, None);
         }
-        let Some(key) = self.compile_key(&req) else {
+        let Some(resolved) = self.resolve_compile(&req) else {
             // Malformed compiles take the local path for its error replies.
-            return self.admit_compile(req);
+            return self.admit_compile(req, None);
         };
+        let key = resolved.key;
         let Owner::Peer(owner) = fleet.ring.owner_of(key) else {
-            return self.admit_compile(req);
+            return self.admit_compile(req, Some(resolved));
         };
         if self.artifacts.peek(key).is_some() {
             // A replica already lives here (earlier failover or handoff):
             // answering locally beats a forward hop.
-            return self.admit_compile(req);
+            return self.admit_compile(req, Some(resolved));
         }
         let deadline = req
             .deadline_ms
@@ -413,7 +545,7 @@ impl State {
             let mut fwd = req.clone();
             fwd.forwarded = true;
             let line = fwd.to_line();
-            let mut outcome = self.forward_once(&owner, &line, deadline);
+            let mut outcome = self.forward_once(fleet, &owner, &line, deadline);
             if let Forwarded::Shed(hint) = outcome {
                 // The owner is alive but saturated: honor its hint once,
                 // clipped to the deadline, then stop camping on it.
@@ -423,7 +555,7 @@ impl State {
                     wait = wait.min(d.saturating_duration_since(Instant::now()));
                 }
                 std::thread::sleep(wait);
-                outcome = self.forward_once(&owner, &line, deadline);
+                outcome = self.forward_once(fleet, &owner, &line, deadline);
             }
             match outcome {
                 Forwarded::Line(reply) => {
@@ -449,23 +581,41 @@ impl State {
             }
         }
         self.peer_failovers.fetch_add(1, Ordering::Relaxed);
-        let reply = self.admit_compile(req);
+        let reply = self.admit_compile(req, Some(resolved));
         self.handoff(key, &owner);
         reply
     }
 
-    /// The artifact-cache key a compile request resolves to, or `None`
-    /// when the request is malformed (wrong workload, bad config — the
-    /// local compile path renders those errors properly).
-    fn compile_key(&self, req: &Request) -> Option<(u64, u64)> {
-        let (_workload, dfg) = self.resolve_graph(req).ok()?;
+    /// Resolve a compile request to its graph, config and artifact key,
+    /// or `None` when the request is malformed (wrong workload, bad
+    /// config — the local compile path renders those errors properly).
+    fn resolve_compile(&self, req: &Request) -> Option<Resolved> {
+        let (workload, dfg) = self.resolve_graph(req).ok()?;
         let cfg = req.compile_config().ok()?;
-        Some((dfg.content_hash(), cfg.content_hash()))
+        let key = (dfg.content_hash(), cfg.content_hash());
+        Some(Resolved {
+            workload,
+            dfg,
+            cfg,
+            key,
+        })
     }
 
-    /// One forward attempt against `addr`: dial, send, classify the
-    /// reply. Injected peer faults fire before any real I/O.
-    fn forward_once(&self, addr: &str, line: &str, deadline: Option<Instant>) -> Forwarded {
+    /// The artifact-cache key a compile request resolves to, or `None`
+    /// when the request is malformed.
+    fn compile_key(&self, req: &Request) -> Option<(u64, u64)> {
+        self.resolve_compile(req).map(|r| r.key)
+    }
+
+    /// One forward attempt against `addr` on a pooled connection: send,
+    /// classify the reply. Injected peer faults fire before any real I/O.
+    fn forward_once(
+        &self,
+        fleet: &Fleet,
+        addr: &str,
+        line: &str,
+        deadline: Option<Instant>,
+    ) -> Forwarded {
         if let Some(ms) = self.opts.faults.peer_slow_ms {
             std::thread::sleep(Duration::from_millis(ms));
         }
@@ -486,25 +636,18 @@ impl State {
             }
             timeout = timeout.min(left);
         }
-        let reply = (|| -> io::Result<String> {
-            let mut client = dial_peer(addr, timeout)?;
-            client.send_line(line)
-        })();
-        match reply {
+        match fleet.round_trip(addr, line, timeout) {
             Err(e) => Forwarded::Down(e.to_string()),
-            Ok(reply) => match Reply::from_line(&reply) {
-                Ok(Reply::Error(e)) if e.code.as_deref() == Some("overloaded") => {
-                    Forwarded::Shed(e.retry_after_ms.unwrap_or(25))
-                }
-                // A draining peer still answers the wire but admits
-                // nothing; treat it as down so the compile fails over
-                // instead of bouncing the drain error to the client.
-                Ok(Reply::Error(e)) if e.code.as_deref() == Some("shutting_down") => {
-                    Forwarded::Down("peer is draining for shutdown".to_string())
-                }
-                Ok(_) => Forwarded::Line(reply),
-                Err(e) => Forwarded::Down(format!("unintelligible peer reply: {e}")),
-            },
+            Ok((_, Reply::Error(e))) if e.code.as_deref() == Some("overloaded") => {
+                Forwarded::Shed(e.retry_after_ms.unwrap_or(25))
+            }
+            // A draining peer still answers the wire but admits
+            // nothing; treat it as down so the compile fails over
+            // instead of bouncing the drain error to the client.
+            Ok((_, Reply::Error(e))) if e.code.as_deref() == Some("shutting_down") => {
+                Forwarded::Down("peer is draining for shutdown".to_string())
+            }
+            Ok((reply, _)) => Forwarded::Line(reply),
         }
     }
 
@@ -527,7 +670,7 @@ impl State {
             return;
         };
         let artifact = mps::artifact::encode_result(key, &result);
-        if fleet.table.is_forwardable(owner) && self.push_artifact(owner, &artifact) {
+        if fleet.table.is_forwardable(owner) && self.push_artifact(fleet, owner, &artifact) {
             self.peer_handoffs.fetch_add(1, Ordering::Relaxed);
         } else {
             self.park_handoff(owner, artifact);
@@ -535,7 +678,7 @@ impl State {
     }
 
     /// One `artifact_put` push to `addr`; `true` on an acknowledged put.
-    fn push_artifact(&self, addr: &str, artifact: &str) -> bool {
+    fn push_artifact(&self, fleet: &Fleet, addr: &str, artifact: &str) -> bool {
         if self.injected_peer_fault(addr).is_some() {
             return false;
         }
@@ -545,12 +688,10 @@ impl State {
             artifact: Some(artifact.to_string()),
             ..Request::default()
         };
-        (|| -> io::Result<bool> {
-            let mut client = dial_peer(addr, timeout)?;
-            let line = client.send_line(&req.to_line())?;
-            Ok(matches!(Reply::from_line(&line), Ok(Reply::ArtifactPut(_))))
-        })()
-        .unwrap_or(false)
+        matches!(
+            fleet.round_trip(addr, &req.to_line(), timeout),
+            Ok((_, Reply::ArtifactPut(_)))
+        )
     }
 
     /// Park an artifact push for later (bounded; oldest dropped first —
@@ -586,7 +727,7 @@ impl State {
             owed
         };
         for artifact in owed {
-            if self.push_artifact(addr, &artifact) {
+            if self.push_artifact(fleet, addr, &artifact) {
                 self.peer_handoffs.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.park_handoff(addr, artifact);
@@ -603,7 +744,7 @@ impl State {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            match self.ping_peer(&addr) {
+            match self.ping_peer(fleet, &addr) {
                 Ok(()) => {
                     let revived = fleet.table.state_of(&addr) == Some(PeerState::Ejected);
                     fleet.table.record_success(&addr);
@@ -630,26 +771,19 @@ impl State {
         }
     }
 
-    /// One health probe: dial and `ping`, bounded well under the probe
-    /// interval so a dead peer cannot stall the round.
-    fn ping_peer(&self, addr: &str) -> Result<(), String> {
+    /// One health probe: `ping` on a pooled connection, bounded well
+    /// under the probe interval so a dead peer cannot stall the round.
+    fn ping_peer(&self, fleet: &Fleet, addr: &str) -> Result<(), String> {
         if let Some(error) = self.injected_peer_fault(addr) {
             return Err(error);
         }
         let timeout = Duration::from_millis(self.opts.forward_timeout_ms.max(1))
             .min(Duration::from_millis(500));
-        (|| -> io::Result<()> {
-            let mut client = dial_peer(addr, timeout)?;
-            let line = client.send_line(&Request::op("ping").to_line())?;
-            match Reply::from_line(&line) {
-                Ok(Reply::Pong(_)) => Ok(()),
-                other => Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unexpected probe reply: {other:?}"),
-                )),
-            }
-        })()
-        .map_err(|e| e.to_string())
+        match fleet.round_trip(addr, &Request::op("ping").to_line(), timeout) {
+            Ok((_, Reply::Pong(_))) => Ok(()),
+            Ok((_, other)) => Err(format!("unexpected probe reply: {other:?}")),
+            Err(e) => Err(e.to_string()),
+        }
     }
 
     /// The `peers` verb: fleet membership and health, plus — when the
@@ -773,7 +907,9 @@ impl State {
                 "deadline expired in the admission queue".to_string(),
             ));
         }
-        let run = std::panic::AssertUnwindSafe(|| self.compile_line(&job.req, job.deadline));
+        let run = std::panic::AssertUnwindSafe(|| {
+            self.compile_line(&job.req, job.resolved.as_ref(), job.deadline)
+        });
         match std::panic::catch_unwind(run) {
             Ok(line) => line,
             Err(_) => {
@@ -788,29 +924,54 @@ impl State {
     }
 
     /// Run one compile request (on a worker thread) and render its reply.
-    fn compile_line(&self, req: &Request, deadline: Option<Instant>) -> String {
+    /// The request is resolved here unless the fleet path already did.
+    fn compile_line(
+        &self,
+        req: &Request,
+        resolved: Option<&Resolved>,
+        deadline: Option<Instant>,
+    ) -> String {
         let t0 = Instant::now();
-        let (workload, dfg) = match self.resolve_graph(req) {
-            Ok(pair) => pair,
-            Err(reply) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.log_compile(req, t0, false, Some(&reply.error));
-                return encode(&*reply);
+        let local;
+        let resolved = match resolved {
+            Some(r) => r,
+            None => {
+                let (workload, dfg) = match self.resolve_graph(req) {
+                    Ok(pair) => pair,
+                    Err(reply) => {
+                        self.errors.fetch_add(1, Ordering::Relaxed);
+                        self.log_compile(req, t0, false, Some(&reply.error));
+                        return encode(&*reply);
+                    }
+                };
+                let cfg = match req.compile_config() {
+                    Ok(cfg) => cfg,
+                    Err(error) => {
+                        self.errors.fetch_add(1, Ordering::Relaxed);
+                        self.log_compile(req, t0, false, Some(&error));
+                        return encode(&ErrorReply::protocol("compile", req.id, error));
+                    }
+                };
+                let key = (dfg.content_hash(), cfg.content_hash());
+                local = Resolved {
+                    workload,
+                    dfg,
+                    cfg,
+                    key,
+                };
+                &local
             }
         };
-        let cfg = match req.compile_config() {
-            Ok(cfg) => cfg,
-            Err(error) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                self.log_compile(req, t0, false, Some(&error));
-                return encode(&ErrorReply::protocol("compile", req.id, error));
-            }
-        };
-        let engine = cfg.engine.name().to_string();
-        let key = (dfg.content_hash(), cfg.content_hash());
+        let key = resolved.key;
+        let engine = resolved.cfg.engine.name().to_string();
         let cancel = deadline.map(CancelToken::deadline_at);
         let fetched = self.artifacts.get_or_compute(key, cancel.as_ref(), || {
-            let mut session = Session::with_shared_tables(dfg, cfg, Arc::clone(&self.tables));
+            // Only a miss needs the graph by value; a hit clones nothing.
+            let mut session = Session::with_shared_tables(
+                resolved.dfg.clone(),
+                resolved.cfg.clone(),
+                Arc::clone(&self.tables),
+            );
             if let Some(token) = &cancel {
                 session.set_cancel_token(token.clone());
             }
@@ -849,7 +1010,7 @@ impl State {
                     ok: true,
                     op: "compile".to_string(),
                     id: req.id,
-                    workload,
+                    workload: resolved.workload.clone(),
                     graph_hash: format!("{:016x}", key.0),
                     config_hash: format!("{:016x}", key.1),
                     engine,
@@ -984,6 +1145,10 @@ impl State {
             tables_persisted: self.tables_persisted.load(Ordering::Relaxed),
             tables_loaded: self.tables_loaded.load(Ordering::Relaxed),
             peer_forwards: self.peer_forwards.load(Ordering::Relaxed),
+            peer_dials: self
+                .fleet
+                .as_ref()
+                .map_or(0, |fleet| fleet.dials.load(Ordering::Relaxed)),
             peer_failovers: self.peer_failovers.load(Ordering::Relaxed),
             peer_handoffs: self.peer_handoffs.load(Ordering::Relaxed),
             peer_handoffs_received: self.peer_handoffs_received.load(Ordering::Relaxed),
@@ -1037,20 +1202,6 @@ fn peer_infos(table: &PeerTable) -> Vec<PeerInfo> {
             total_successes: s.total_successes,
         })
         .collect()
-}
-
-/// Dial a peer with `timeout` bounding the connect *and* every read —
-/// the fleet never lets a dead peer hold a thread past its budget.
-fn dial_peer(addr: &str, timeout: Duration) -> io::Result<Client> {
-    let sockaddr = addr.to_socket_addrs()?.next().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("peer address {addr} resolves to nothing"),
-        )
-    })?;
-    let mut client = Client::connect_timeout(&sockaddr, timeout)?;
-    client.set_timeout(Some(timeout))?;
-    Ok(client)
 }
 
 /// A running compile server (dispatcher thread live, front-ends ready).
@@ -1143,6 +1294,8 @@ impl Server {
                 ring: PeerRing::new(&opts.advertise, &opts.peers),
                 table: PeerTable::new(&opts.peers, jitter),
                 pending: Mutex::new(Vec::new()),
+                idle: Mutex::new(HashMap::new()),
+                dials: AtomicU64::new(0),
             }
         });
         let state = Arc::new(State {
@@ -1172,6 +1325,7 @@ impl Server {
             peer_handoffs_received: AtomicU64::new(0),
             forward_attempts: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            listen_addr: Mutex::new(None),
             log: Mutex::new(None),
             opts,
         });
@@ -1270,44 +1424,58 @@ impl Server {
 
     /// Serve TCP connections on `listener` (thread per connection, at
     /// most `max_conns` at once) until a `shutdown` request arrives on
-    /// any of them.
+    /// any of them, or in process through [`Server::handle_line`].
+    ///
+    /// The loop blocks in `accept`; `shutdown` wakes it by connecting to
+    /// the listener's own address, recorded here before the first accept.
     pub fn run_tcp(&self, listener: TcpListener) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    // Reap finished connection threads so long-lived
-                    // servers don't accumulate handles, and so the
-                    // connection gate counts only live connections.
-                    conns.retain(|h| !h.is_finished());
-                    // Reply lines are small; avoid the Nagle/delayed-ACK
-                    // stall on the server side of each round trip too.
-                    let _ = stream.set_nodelay(true);
-                    if conns.len() >= self.state.opts.max_conns {
-                        self.state.sheds.fetch_add(1, Ordering::Relaxed);
-                        let hint = self.state.retry_after_hint();
-                        let mut stream = stream;
-                        let _ = writeln!(
-                            stream,
-                            "{}",
-                            encode(&ErrorReply::overloaded("?", None, hint))
-                        );
-                        continue; // dropped: over the connection cap
-                    }
-                    let state = Arc::clone(&self.state);
-                    conns.push(std::thread::spawn(move || serve_conn(&state, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if self.state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                    conns.retain(|h| !h.is_finished());
-                }
-                Err(e) => return Err(e),
-            }
+        let mut addr = listener.local_addr()?;
+        match addr.ip() {
+            IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+            _ => {}
         }
+        let listening = &self.state.listen_addr;
+        *listening.lock().expect("listen address poisoned") = Some(addr);
+        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        // The flag is checked after the address is recorded, so a
+        // shutdown either sees the address and wakes `accept`, or lands
+        // before this check and is seen here.
+        let result = loop {
+            if self.state.shutdown.load(Ordering::SeqCst) {
+                break Ok(());
+            }
+            let stream = match listener.accept() {
+                Ok((stream, _addr)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => break Err(e),
+            };
+            if self.state.shutdown.load(Ordering::SeqCst) {
+                break Ok(()); // the shutdown wake-up, or a client too late
+            }
+            // Reap finished connection threads so long-lived servers
+            // don't accumulate handles, and so the connection gate counts
+            // only live connections.
+            conns.retain(|h| !h.is_finished());
+            // Reply lines are small; avoid the Nagle/delayed-ACK stall on
+            // the server side of each round trip too.
+            let _ = stream.set_nodelay(true);
+            if conns.len() >= self.state.opts.max_conns {
+                self.state.sheds.fetch_add(1, Ordering::Relaxed);
+                let hint = self.state.retry_after_hint();
+                let mut stream = stream;
+                let _ = writeln!(
+                    stream,
+                    "{}",
+                    encode(&ErrorReply::overloaded("?", None, hint))
+                );
+                continue; // dropped: over the connection cap
+            }
+            let state = Arc::clone(&self.state);
+            conns.push(std::thread::spawn(move || serve_conn(&state, stream)));
+        };
+        *listening.lock().expect("listen address poisoned") = None;
+        result?;
         for conn in conns {
             let _ = conn.join();
         }
@@ -1810,6 +1978,287 @@ mod tests {
         stub.join().expect("stub owner exits");
         non_owner.handle_line(r#"{"op":"shutdown"}"#);
         non_owner.finish();
+    }
+
+    /// A stub fleet owner on loopback that counts the connections it
+    /// accepts. Each connection gets its own thread, which answers every
+    /// request line with `answer` (`None` stalls: no reply, keep reading)
+    /// and, with `hang_up`, closes the connection after each reply. Drop
+    /// the server under test first: its pool holds the connections that
+    /// the stub's threads are reading.
+    struct StubOwner {
+        addr: SocketAddr,
+        accepted: Arc<AtomicU64>,
+        stop: Arc<AtomicBool>,
+        acceptor: Option<std::thread::JoinHandle<Vec<std::thread::JoinHandle<()>>>>,
+    }
+
+    impl StubOwner {
+        fn spawn(
+            hang_up: bool,
+            answer: impl Fn(&Request) -> Option<String> + Send + Sync + 'static,
+        ) -> StubOwner {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind stub owner");
+            let addr = listener.local_addr().expect("stub addr");
+            listener.set_nonblocking(true).expect("nonblocking stub");
+            let accepted = Arc::new(AtomicU64::new(0));
+            let stop = Arc::new(AtomicBool::new(false));
+            let answer = Arc::new(answer);
+            let acceptor = {
+                let (accepted, stop) = (Arc::clone(&accepted), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut conns = Vec::new();
+                    while !stop.load(Ordering::SeqCst) {
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                accepted.fetch_add(1, Ordering::SeqCst);
+                                let answer = Arc::clone(&answer);
+                                conns.push(std::thread::spawn(move || {
+                                    stream.set_nonblocking(false).expect("blocking conn");
+                                    let mut reader =
+                                        BufReader::new(stream.try_clone().expect("clone"));
+                                    let mut stream = stream;
+                                    let mut line = String::new();
+                                    while reader.read_line(&mut line).is_ok_and(|n| n > 0) {
+                                        let req = Request::from_line(line.trim_end())
+                                            .expect("the server sends protocol");
+                                        line.clear();
+                                        let Some(reply) = answer(&req) else {
+                                            continue;
+                                        };
+                                        let _ = writeln!(stream, "{reply}");
+                                        if hang_up {
+                                            break;
+                                        }
+                                    }
+                                }));
+                            }
+                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                                std::thread::sleep(Duration::from_millis(2));
+                            }
+                            Err(_) => break,
+                        }
+                    }
+                    conns
+                })
+            };
+            StubOwner {
+                addr,
+                accepted,
+                stop,
+                acceptor: Some(acceptor),
+            }
+        }
+
+        /// Canned answers by verb: a pong, a real fig4 compile reply, an
+        /// acknowledged artifact put.
+        fn answers() -> impl Fn(&Request) -> Option<String> + Send + Sync + 'static {
+            let (compiled, _) =
+                Server::new(one_worker()).handle_line(r#"{"op":"compile","workload":"fig4"}"#);
+            move |req: &Request| {
+                Some(match req.op.as_str() {
+                    "ping" => encode(&PongReply {
+                        ok: true,
+                        op: "ping".to_string(),
+                        id: req.id,
+                        uptime_sec: 0.0,
+                        queue_depth: 0,
+                    }),
+                    "artifact_put" => encode(&ArtifactPutReply {
+                        ok: true,
+                        op: "artifact_put".to_string(),
+                        id: req.id,
+                        stored: true,
+                    }),
+                    _ => compiled.clone(),
+                })
+            }
+        }
+
+        fn accepted(&self) -> u64 {
+            self.accepted.load(Ordering::SeqCst)
+        }
+
+        /// A one-peer non-owner pointed at this stub, returned once its
+        /// boot probe has been answered (so the probe's connection sits
+        /// in the pool), plus a compile request the stub owns.
+        fn non_owner(&self, forward_timeout_ms: u64) -> (Server, Request) {
+            let server = Server::new(ServeOptions {
+                peers: vec![self.addr.to_string()],
+                advertise: "127.0.0.1:7072".to_string(),
+                probe_interval_ms: 3_600_000,
+                forward_timeout_ms,
+                ..one_worker()
+            });
+            let booted = Instant::now() + Duration::from_secs(10);
+            while server.stats().peers[0].total_successes == 0 {
+                assert!(Instant::now() < booted, "boot probe never answered");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let fleet = server.state.fleet.as_ref().expect("fleet configured");
+            let req = (1..=16)
+                .map(|pdef| Request {
+                    op: "compile".to_string(),
+                    workload: Some("fig4".to_string()),
+                    pdef: Some(pdef),
+                    ..Request::default()
+                })
+                .find(|req| {
+                    let key = server.state.compile_key(req).expect("valid request");
+                    matches!(fleet.ring.owner_of(key), Owner::Peer(_))
+                })
+                .expect("some pdef hashes to the peer");
+            (server, req)
+        }
+    }
+
+    impl Drop for StubOwner {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            if let Some(acceptor) = self.acceptor.take() {
+                for conn in acceptor.join().unwrap_or_default() {
+                    let _ = conn.join();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forwards_reuse_one_pooled_connection() {
+        let stub = StubOwner::spawn(false, StubOwner::answers());
+        let (non_owner, req) = stub.non_owner(2_000);
+        for _ in 0..20 {
+            let (reply, _) = non_owner.handle_line(&req.to_line());
+            assert!(
+                matches!(Reply::from_line(&reply).unwrap(), Reply::Compile(_)),
+                "{reply}"
+            );
+        }
+        let stats = non_owner.stats();
+        assert_eq!(stats.peer_forwards, 20);
+        assert_eq!(stats.peer_failovers, 0);
+        assert_eq!(stats.peer_dials, 1, "the boot probe's dial serves them all");
+        assert_eq!(stub.accepted(), 1);
+    }
+
+    #[test]
+    fn stale_pooled_connections_are_redialed() {
+        // The stub hangs up after every reply, like a peer restarting
+        // between requests: each pooled connection is dead on reuse.
+        let stub = StubOwner::spawn(true, StubOwner::answers());
+        let (non_owner, req) = stub.non_owner(2_000);
+        for _ in 0..10 {
+            let (reply, _) = non_owner.handle_line(&req.to_line());
+            assert!(
+                matches!(Reply::from_line(&reply).unwrap(), Reply::Compile(_)),
+                "{reply}"
+            );
+        }
+        let stats = non_owner.stats();
+        assert_eq!(stats.peer_forwards, 10);
+        assert_eq!(
+            stats.peer_failovers, 0,
+            "a stale connection is not a down peer"
+        );
+        assert_eq!(stats.peers[0].state, "healthy");
+        assert_eq!(stats.peer_dials, 11, "one redial per forward");
+        assert_eq!(stub.accepted(), 11);
+    }
+
+    #[test]
+    fn stalled_pooled_connection_fails_over_after_one_timeout() {
+        // The stub answers the first compile and stalls on the second,
+        // on the same pooled connection.
+        let compiles = AtomicU64::new(0);
+        let answers = StubOwner::answers();
+        let stub = StubOwner::spawn(false, move |req| {
+            let stall = req.op == "compile" && compiles.fetch_add(1, Ordering::SeqCst) == 1;
+            if stall {
+                None
+            } else {
+                answers(req)
+            }
+        });
+        let timeout_ms = 500;
+        let (non_owner, req) = stub.non_owner(timeout_ms);
+        let (reply, _) = non_owner.handle_line(&req.to_line());
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Compile(_)
+        ));
+        let t0 = Instant::now();
+        let (reply, _) = non_owner.handle_line(&req.to_line());
+        let waited = t0.elapsed();
+        assert!(
+            matches!(Reply::from_line(&reply).unwrap(), Reply::Compile(r) if !r.cached),
+            "the stall fails over to local compute: {reply}"
+        );
+        assert!(
+            waited >= Duration::from_millis(timeout_ms),
+            "failed over before the timeout: {waited:?}"
+        );
+        assert!(
+            waited < Duration::from_millis(2 * timeout_ms),
+            "a timed-out forward must not be retried: {waited:?}"
+        );
+        let stats = non_owner.stats();
+        assert_eq!((stats.peer_forwards, stats.peer_failovers), (1, 1));
+        assert_eq!(stats.peer_handoffs, 1);
+        assert_eq!(
+            stats.peer_dials, 2,
+            "the boot probe's dial, then only the handoff's: no redial"
+        );
+    }
+
+    /// Run `shutdown` over TCP against a server thread and wait for the
+    /// thread to finish, failing if it takes a second or more.
+    fn shutdown_joins_within_a_second(addr: SocketAddr, server: std::thread::JoinHandle<()>) {
+        let mut idle = Client::connect(addr, 0, Duration::ZERO).expect("idle connection");
+        idle.request(&Request::op("ping")).expect("ping");
+        let mut client = Client::connect(addr, 0, Duration::ZERO).expect("connect");
+        let t0 = Instant::now();
+        client.shutdown().expect("shutdown ack");
+        while !server.is_finished() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "server thread still running a second after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.join().expect("server thread exits cleanly");
+    }
+
+    #[test]
+    fn fresh_dials_are_accepted_without_a_poll_delay() {
+        let (addr, server) = spawn_loopback(one_worker()).expect("spawn");
+        let ping = Request::op("ping").to_line();
+        // Warm up: the first dial may race the server thread's start.
+        Client::connect(addr, 50, Duration::from_millis(10))
+            .and_then(|mut c| c.send_line(&ping))
+            .expect("server up");
+        let t0 = Instant::now();
+        for _ in 0..50 {
+            let mut client = Client::connect(addr, 0, Duration::ZERO).expect("connect");
+            client.send_line(&ping).expect("pong");
+        }
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(250),
+            "50 fresh-dial pings took {took:?}"
+        );
+        shutdown_joins_within_a_second(addr, server);
+    }
+
+    #[test]
+    fn idle_server_joins_promptly_after_shutdown() {
+        let (addr, server) = spawn_loopback(one_worker()).expect("spawn");
+        shutdown_joins_within_a_second(addr, server);
+
+        // A wildcard listener is woken through loopback.
+        let listener = TcpListener::bind("0.0.0.0:0").expect("bind wildcard");
+        let port = listener.local_addr().expect("addr").port();
+        let server = spawn_on(listener, one_worker());
+        shutdown_joins_within_a_second(SocketAddr::from((Ipv4Addr::LOCALHOST, port)), server);
     }
 
     #[test]
