@@ -3,64 +3,79 @@
 //! check for CI.
 //!
 //! ```text
-//! throughput            human-readable table on stdout
-//! throughput --json     machine-readable snapshot (scripts/bench_snapshot.sh)
-//! throughput --smoke    fast semantic check: antichain counts on small
-//!                       graphs must equal pinned values (exit 1 otherwise)
+//! throughput                    human-readable table on stdout
+//! throughput --json             machine-readable snapshot (scripts/bench_snapshot.sh)
+//! throughput --only <section>   measure one section (classify, select, batch,
+//!                               serve, shed, warm_start, fleet, partition)
+//! throughput --smoke            fast semantic check: antichain counts must
+//!                               equal pinned values (exit 1 otherwise)
 //! ```
 //!
-//! All timed sections run sequentially (`parallel: false`) so the
-//! fast-vs-reference ratio is a per-core comparison; one parallel build is
-//! timed separately to show the substrate's scaling on top.
+//! The classify section is the table-build comparison: the 12 registry
+//! kernels at C ∈ {3, 4, 5} and span ∈ {1, 2, none}, the shipping
+//! [`PatternTable::build`] against the sequential DFS fold
+//! [`PatternTable::build_dfs`], median and IQR over interleaved rounds,
+//! with the state DAG's size per row.
 
+use mps::patterns::DagStats;
 use mps::prelude::*;
 use std::time::{Duration, Instant};
 
-/// Workloads measured by the snapshot: the paper's 3- and 5-point DFTs
-/// plus a complexsig-built FFT butterfly one size up. (Larger FFTs scale
-/// fine but make the seed-path baseline runs take minutes; `fft_radix2(16)`
-/// already enumerates 675M antichains.)
-fn workloads() -> Vec<(&'static str, AnalyzedDfg)> {
-    vec![
-        ("dft3", AnalyzedDfg::new(mps::workloads::dft3())),
-        ("dft5", AnalyzedDfg::new(mps::workloads::dft5())),
-        ("fft8", AnalyzedDfg::new(mps::workloads::fft_radix2(8))),
-    ]
-}
+/// The registry kernels of the table-build comparison (the `cold-sweep`
+/// benchmark mix).
+const KERNELS: [&str; 12] = [
+    "fig2",
+    "dft5",
+    "dct8",
+    "fir16",
+    "matmul3",
+    "fft8",
+    "horner8",
+    "cordic8",
+    "iir4",
+    "cholesky4",
+    "star32",
+    "conv3",
+];
 
-const SPAN_LIMITS: [Option<u32>; 4] = [Some(0), Some(1), Some(2), None];
+const CAPACITIES: [usize; 3] = [3, 4, 5];
+
+const SPAN_LIMITS: [Option<u32>; 3] = [Some(1), Some(2), None];
+
+/// Interleaved rounds per classify row: each round times the shipping
+/// build and the DFS fold once each, alternating which goes first.
+const ROUNDS: usize = 11;
 
 /// Pinned antichain counts guarding the enumerator's semantics: if a perf
 /// refactor changes any of these, the smoke check (run by CI and
-/// scripts/smoke.sh) fails loudly. The skewed graphs cover both sides of
-/// the parallel-work floor: `star16` (C(16,1..5) leaf sets + hub(+leaf)
-/// sets + sink pair = 9403) and `broom64` (2·64 + 1) estimate *below* it,
-/// so their forced-worker builds pin the sequential fallback, while
-/// `star32` (= 284 275) estimates above it and keeps the depth-1 branch
-/// splitter and warmed split scheduling exercised end to end on every
-/// push.
-const SMOKE_PINS: [(&str, Option<u32>, u64); 6] = [
-    ("fig2", None, 9374),
-    ("fig4", None, 8),
-    ("dft5", Some(1), 32054),
-    ("star16", None, 9403),
-    ("star32", None, 284275),
-    ("broom64", None, 129),
+/// scripts/smoke.sh) fails loudly. Each pin is checked twice: by the
+/// `for_each_antichain` visitor count and by the shipping
+/// [`PatternTable::build`], which takes the state DAG on every pin but
+/// `fig4` (`star16` = C(16,1..5) leaf sets + hub(+leaf) sets + sink pair =
+/// 9403; `broom64` = 2·64 + 1).
+const SMOKE_PINS: [(&str, usize, Option<u32>, u64); 9] = [
+    ("fig2", 5, None, 9374),
+    ("fig4", 5, None, 8),
+    ("dft5", 5, Some(1), 32054),
+    ("star16", 5, None, 9403),
+    ("star32", 5, None, 284275),
+    ("broom64", 5, None, 129),
+    ("conv3", 5, None, 4859135),
+    ("fft8", 5, None, 1589939),
+    ("matmul3", 5, Some(2), 790314),
 ];
 
-fn cfg(limit: Option<u32>) -> EnumerateConfig {
+fn cfg(capacity: usize, limit: Option<u32>) -> EnumerateConfig {
     EnumerateConfig {
-        capacity: 5,
+        capacity,
         span_limit: limit,
         parallel: false,
     }
 }
 
 /// [`time_per_iter`] repeated `n` times, keeping the fastest run — the
-/// standard noise-robust estimator. Every committed ratio divides two of
-/// these timings (fast vs reference, split vs root-granular — at 1 worker
-/// *literally* identical code), so single-shot jitter would otherwise
-/// dominate the ratios the snapshot exists to track.
+/// estimator of the selection rows, whose engine and reference sides run
+/// back to back on one prebuilt table.
 fn time_best_of<R>(n: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let (mut best, mut result) = time_per_iter(&mut f);
     for _ in 1..n {
@@ -73,10 +88,9 @@ fn time_best_of<R>(n: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, result)
 }
 
-/// Time `f`, calibrating the iteration count to fill ~200 ms, and return
-/// (seconds per iteration, the last result).
-fn time_per_iter<R>(mut f: impl FnMut() -> R) -> (f64, R) {
-    let target = Duration::from_millis(200);
+/// Time `f`, calibrating the iteration count to fill ~`target`, and
+/// return (seconds per iteration, the last result).
+fn time_for<R>(target: Duration, mut f: impl FnMut() -> R) -> (f64, R) {
     let start = Instant::now();
     let mut result = f();
     let once = start.elapsed();
@@ -92,71 +106,87 @@ fn time_per_iter<R>(mut f: impl FnMut() -> R) -> (f64, R) {
     (start.elapsed().as_secs_f64() / iters as f64, result)
 }
 
-struct Row {
+/// [`time_for`] over ~200 ms.
+fn time_per_iter<R>(f: impl FnMut() -> R) -> (f64, R) {
+    time_for(Duration::from_millis(200), f)
+}
+
+/// Median and interquartile range of a sample.
+fn median_iqr(mut xs: Vec<f64>) -> (f64, f64) {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    (at(0.5), at(0.75) - at(0.25))
+}
+
+/// One table-build comparison: [`PatternTable::build`] (state DAG, or the
+/// DFS fold below its cutover) against [`PatternTable::build_dfs`] (the
+/// sequential DFS fold the build replaced), median and IQR over
+/// [`ROUNDS`] interleaved rounds, with the size of the state DAG.
+struct ClassifyRow {
     workload: &'static str,
     nodes: usize,
+    capacity: usize,
     span_limit: Option<u32>,
     antichains: u64,
-    distinct_patterns: usize,
-    enumerate_sec: f64,
-    classify_sec: f64,
-    classify_reference_sec: f64,
-    classify_parallel_sec: f64,
+    patterns: usize,
+    dag: Option<DagStats>,
+    build_sec: f64,
+    build_iqr_sec: f64,
+    dfs_sec: f64,
+    dfs_iqr_sec: f64,
 }
 
-impl Row {
-    fn antichains_per_sec(&self) -> f64 {
-        self.antichains as f64 / self.enumerate_sec
-    }
-
-    fn classify_antichains_per_sec(&self) -> f64 {
-        self.antichains as f64 / self.classify_sec
-    }
-
-    fn speedup_vs_reference(&self) -> f64 {
-        self.classify_reference_sec / self.classify_sec
+impl ClassifyRow {
+    fn speedup_vs_dfs(&self) -> f64 {
+        self.dfs_sec / self.build_sec
     }
 }
 
-fn measure(workload: &'static str, adfg: &AnalyzedDfg, span_limit: Option<u32>) -> Row {
-    let (enumerate_sec, antichains) = time_best_of(3, || {
-        let mut count = 0u64;
-        mps::patterns::for_each_antichain(adfg, cfg(span_limit), |_, _| count += 1);
-        count
-    });
-    let (classify_sec, table) = time_best_of(3, || PatternTable::build(adfg, cfg(span_limit)));
-    let (classify_reference_sec, reference) =
-        time_best_of(3, || PatternTable::build_reference(adfg, cfg(span_limit)));
-    let (classify_parallel_sec, _) = time_best_of(3, || {
-        PatternTable::build(
-            adfg,
-            EnumerateConfig {
-                parallel: true,
-                ..cfg(span_limit)
-            },
-        )
-    });
-    assert_eq!(
-        table.total_antichains(),
-        antichains,
-        "classification must account for every enumerated antichain"
-    );
-    assert_eq!(
-        reference.total_antichains(),
-        antichains,
-        "reference path must agree with the enumeration"
-    );
-    Row {
-        workload,
-        nodes: adfg.len(),
-        span_limit,
-        antichains,
-        distinct_patterns: table.len(),
-        enumerate_sec,
-        classify_sec,
-        classify_reference_sec,
-        classify_parallel_sec,
+fn measure_classify() -> Vec<ClassifyRow> {
+    let mut rows = Vec::new();
+    for workload in KERNELS {
+        let adfg = AnalyzedDfg::new(mps::workloads::by_name(workload).expect("registry kernel"));
+        for capacity in CAPACITIES {
+            for span_limit in SPAN_LIMITS {
+                let c = cfg(capacity, span_limit);
+                let table = PatternTable::build(&adfg, c);
+                assert_eq!(
+                    table,
+                    PatternTable::build_dfs(&adfg, c),
+                    "{workload} C{capacity} span {span_limit:?}: build must equal the DFS fold"
+                );
+                let target = Duration::from_millis(20);
+                let (mut build, mut dfs) = (Vec::new(), Vec::new());
+                for round in 0..ROUNDS {
+                    let mut shipping =
+                        || build.push(time_for(target, || PatternTable::build(&adfg, c)).0);
+                    if round % 2 == 0 {
+                        shipping();
+                        dfs.push(time_for(target, || PatternTable::build_dfs(&adfg, c)).0);
+                    } else {
+                        dfs.push(time_for(target, || PatternTable::build_dfs(&adfg, c)).0);
+                        shipping();
+                    }
+                }
+                let (build_sec, build_iqr_sec) = median_iqr(build);
+                let (dfs_sec, dfs_iqr_sec) = median_iqr(dfs);
+                rows.push(ClassifyRow {
+                    workload,
+                    nodes: adfg.len(),
+                    capacity,
+                    span_limit,
+                    antichains: table.total_antichains(),
+                    patterns: table.len(),
+                    dag: PatternTable::build_state_dag(&adfg, c).map(|(_, stats)| stats),
+                    build_sec,
+                    build_iqr_sec,
+                    dfs_sec,
+                    dfs_iqr_sec,
+                });
+            }
+        }
     }
+    rows
 }
 
 /// One row of the selection-stage comparison: a cover-engine strategy vs
@@ -210,10 +240,8 @@ fn measure_select() -> Vec<SelectRow> {
         ),
     ];
     let mut rows = Vec::new();
-    for (workload, adfg) in workloads() {
-        if workload == "dft3" {
-            continue; // 37-pattern tables time pure call overhead
-        }
+    for workload in ["dft5", "fft8"] {
+        let adfg = AnalyzedDfg::new(mps::workloads::by_name(workload).expect("registry kernel"));
         for (config, capacity, pdef) in SELECT_CONFIGS {
             let ecfg = EnumerateConfig {
                 capacity,
@@ -252,76 +280,6 @@ fn measure_select() -> Vec<SelectRow> {
                     end_to_end_sec,
                 });
             }
-        }
-    }
-    rows
-}
-
-/// One cell of the skewed-tree scheduling comparison: the split parallel
-/// build vs the one-root-per-unit baseline, same worker count.
-struct SkewRow {
-    workload: &'static str,
-    nodes: usize,
-    antichains: u64,
-    workers: usize,
-    split_sec: f64,
-    root_granular_sec: f64,
-}
-
-impl SkewRow {
-    fn speedup_vs_root_granular(&self) -> f64 {
-        self.root_granular_sec / self.split_sec
-    }
-}
-
-/// Skewed graphs for the scheduling comparison: a hub root owning a
-/// combinatorially dominant share of the search volume (`star32`) and a
-/// "1 moderately heavy + hundreds of trivial" root list (`broom512`).
-fn skew_workloads() -> Vec<(&'static str, AnalyzedDfg)> {
-    vec![
-        ("star32", AnalyzedDfg::new(mps::workloads::star(32))),
-        ("broom512", AnalyzedDfg::new(mps::workloads::broom(512))),
-    ]
-}
-
-fn measure_skew() -> Vec<SkewRow> {
-    let mut rows = Vec::new();
-    for (workload, adfg) in skew_workloads() {
-        // No 1-worker row: with a single worker the split and
-        // root-granular paths execute literally identical code (nothing
-        // splits, nothing spawns), so their ratio would only publish
-        // measurement jitter. The comparison is defined from 2 workers up.
-        for workers in [2usize, 4] {
-            // The two sides are measured interleaved (split, granular,
-            // split, …) and best-of-5: the row's point is their *ratio*,
-            // so drift across the measurement window would otherwise read
-            // as a phantom split win or loss.
-            let (mut split_sec, mut root_granular_sec) = (f64::MAX, f64::MAX);
-            let (mut table, mut granular) = (None, None);
-            for _ in 0..5 {
-                let (s, t) =
-                    time_per_iter(|| PatternTable::build_with_workers(&adfg, cfg(None), workers));
-                split_sec = split_sec.min(s);
-                table = Some(t);
-                let (g, t) =
-                    time_per_iter(|| PatternTable::build_root_granular(&adfg, cfg(None), workers));
-                root_granular_sec = root_granular_sec.min(g);
-                granular = Some(t);
-            }
-            let (table, granular) = (table.expect("measured"), granular.expect("measured"));
-            assert_eq!(
-                table.total_antichains(),
-                granular.total_antichains(),
-                "split and root-granular builds must classify identically"
-            );
-            rows.push(SkewRow {
-                workload,
-                nodes: adfg.len(),
-                antichains: table.total_antichains(),
-                workers,
-                split_sec,
-                root_granular_sec,
-            });
         }
     }
     rows
@@ -912,9 +870,8 @@ fn measure_partition() -> Vec<PartitionRow> {
 }
 
 struct Sections {
-    rows: Vec<Row>,
+    classify: Vec<ClassifyRow>,
     select: Vec<SelectRow>,
-    skew: Vec<SkewRow>,
     batch: Vec<BatchRow>,
     serve: Vec<ServeRow>,
     shed: Vec<ShedRow>,
@@ -925,9 +882,8 @@ struct Sections {
 
 fn print_json(s: &Sections, pr: u32) {
     let Sections {
-        rows,
+        classify,
         select,
-        skew,
         batch,
         serve,
         shed,
@@ -939,40 +895,41 @@ fn print_json(s: &Sections, pr: u32) {
     println!("  \"pr\": {pr},");
     println!("  \"bench\": \"enumeration+classification throughput\",");
     println!("  \"binary\": \"throughput\",");
-    println!("  \"units\": {{");
-    println!("    \"antichains_per_sec\": \"for_each_antichain visits per second (sequential)\",");
-    println!(
-        "    \"classify_antichains_per_sec\": \"PatternTable::build antichains per second (sequential)\","
-    );
-    println!("    \"speedup_vs_reference\": \"classify_reference_sec / classify_sec, same core\"");
-    println!("  }},");
     println!("  \"threads_available\": {},", mps::par::parallelism());
     println!(
-        "  \"seed_baseline\": \"speedup_vs_reference compares against the in-tree \
-         build_reference path, which already uses the PR 2 allocation-free enumerator; \
-         the full seed path (git 43bed70) is slower still — see README § Performance \
-         for the git-referenced measurement\","
+        "  \"classify_note\": \"PatternTable::build (state DAG; DFS fold below its cutover) \
+         vs PatternTable::build_dfs (the sequential DFS fold), sequential, median and IQR of \
+         {ROUNDS} interleaved rounds; states/edges/working_set_bytes size the state DAG \
+         (null: over its memory budget)\","
     );
-    println!("  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
+    println!("  \"classify_rows\": [");
+    for (i, r) in classify.iter().enumerate() {
+        let comma = if i + 1 == classify.len() { "" } else { "," };
+        let dag = r.dag.map_or(
+            "\"states\": null, \"edges\": null, \"working_set_bytes\": null".to_string(),
+            |d| {
+                format!(
+                    "\"states\": {}, \"edges\": {}, \"working_set_bytes\": {}",
+                    d.states, d.edges, d.working_set_bytes
+                )
+            },
+        );
         println!(
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"span_limit\": \"{}\", \
-             \"antichains\": {}, \"distinct_patterns\": {}, \
-             \"antichains_per_sec\": {:.0}, \"classify_sec\": {:.6}, \
-             \"classify_antichains_per_sec\": {:.0}, \"classify_reference_sec\": {:.6}, \
-             \"speedup_vs_reference\": {:.2}, \"classify_parallel_sec\": {:.6}}}{}",
+            "    {{\"workload\": \"{}\", \"nodes\": {}, \"capacity\": {}, \"span_limit\": \"{}\", \
+             \"antichains\": {}, \"distinct_patterns\": {}, {dag}, \
+             \"build_sec\": {:.7}, \"build_iqr_sec\": {:.7}, \"dfs_sec\": {:.7}, \
+             \"dfs_iqr_sec\": {:.7}, \"speedup_vs_dfs\": {:.2}}}{}",
             r.workload,
             r.nodes,
+            r.capacity,
             span_str(r.span_limit),
             r.antichains,
-            r.distinct_patterns,
-            r.antichains_per_sec(),
-            r.classify_sec,
-            r.classify_antichains_per_sec(),
-            r.classify_reference_sec,
-            r.speedup_vs_reference(),
-            r.classify_parallel_sec,
+            r.patterns,
+            r.build_sec,
+            r.build_iqr_sec,
+            r.dfs_sec,
+            r.dfs_iqr_sec,
+            r.speedup_vs_dfs(),
             comma
         );
     }
@@ -1002,30 +959,6 @@ fn print_json(s: &Sections, pr: u32) {
             r.select_reference_sec,
             r.speedup_vs_reference(),
             r.end_to_end_sec,
-            comma
-        );
-    }
-    println!("  ],");
-    println!(
-        "  \"skew_note\": \"split (branch-split scheduling, PatternTable::build_with_workers) \
-         vs root_granular (one root per work unit, the pre-split decomposition); worker counts \
-         are forced per row, so speedups require the machine to really have that many cores — \
-         compare workers to threads_available above\","
-    );
-    println!("  \"skew_rows\": [");
-    for (i, r) in skew.iter().enumerate() {
-        let comma = if i + 1 == skew.len() { "" } else { "," };
-        println!(
-            "    {{\"workload\": \"{}\", \"nodes\": {}, \"antichains\": {}, \"workers\": {}, \
-             \"split_sec\": {:.6}, \"root_granular_sec\": {:.6}, \
-             \"split_speedup_vs_root_granular\": {:.2}}}{}",
-            r.workload,
-            r.nodes,
-            r.antichains,
-            r.workers,
-            r.split_sec,
-            r.root_granular_sec,
-            r.speedup_vs_root_granular(),
             comma
         );
     }
@@ -1181,9 +1114,8 @@ fn print_json(s: &Sections, pr: u32) {
 
 fn print_table(s: &Sections) {
     let Sections {
-        rows,
+        classify,
         select,
-        skew,
         batch,
         serve,
         shed,
@@ -1192,20 +1124,42 @@ fn print_table(s: &Sections) {
         partition,
     } = s;
     println!(
-        "{:<9} {:>5} {:>9} {:>11} {:>9} {:>14} {:>14} {:>9}",
-        "workload", "nodes", "span", "antichains", "patterns", "enum/s", "classify/s", "speedup"
+        "{:<10} {:>2} {:>5} {:>10} {:>7} {:>7} {:>8} {:>11} {:>9} {:>11} {:>9} {:>8}",
+        "classify",
+        "C",
+        "span",
+        "antichains",
+        "states",
+        "edges",
+        "ws_KiB",
+        "build_ms",
+        "iqr_ms",
+        "dfs_ms",
+        "iqr_ms",
+        "speedup"
     );
-    for r in rows {
+    for r in classify {
+        let (states, edges, ws) = r.dag.map_or(("-".into(), "-".into(), "-".into()), |d| {
+            (
+                d.states.to_string(),
+                d.edges.to_string(),
+                (d.working_set_bytes / 1024).to_string(),
+            )
+        });
         println!(
-            "{:<9} {:>5} {:>9} {:>11} {:>9} {:>14.0} {:>14.0} {:>8.1}x",
+            "{:<10} {:>2} {:>5} {:>10} {:>7} {:>7} {:>8} {:>11.3} {:>9.3} {:>11.3} {:>9.3} {:>7.2}x",
             r.workload,
-            r.nodes,
+            r.capacity,
             span_str(r.span_limit),
             r.antichains,
-            r.distinct_patterns,
-            r.antichains_per_sec(),
-            r.classify_antichains_per_sec(),
-            r.speedup_vs_reference(),
+            states,
+            edges,
+            ws,
+            r.build_sec * 1e3,
+            r.build_iqr_sec * 1e3,
+            r.dfs_sec * 1e3,
+            r.dfs_iqr_sec * 1e3,
+            r.speedup_vs_dfs(),
         );
     }
     println!();
@@ -1233,23 +1187,6 @@ fn print_table(s: &Sections) {
             r.select_reference_sec,
             r.speedup_vs_reference(),
             r.end_to_end_sec,
-        );
-    }
-    println!();
-    println!(
-        "{:<10} {:>5} {:>11} {:>8} {:>12} {:>14} {:>9}",
-        "skewed", "nodes", "antichains", "workers", "split_sec", "granular_sec", "speedup"
-    );
-    for r in skew {
-        println!(
-            "{:<10} {:>5} {:>11} {:>8} {:>12.6} {:>14.6} {:>8.2}x",
-            r.workload,
-            r.nodes,
-            r.antichains,
-            r.workers,
-            r.split_sec,
-            r.root_granular_sec,
-            r.speedup_vs_root_granular(),
         );
     }
     println!();
@@ -1370,34 +1307,26 @@ fn print_table(s: &Sections) {
 
 fn smoke() -> i32 {
     let mut failures = 0;
-    for (name, span_limit, expected) in SMOKE_PINS {
+    for (name, capacity, span_limit, expected) in SMOKE_PINS {
         let dfg = mps::workloads::by_name(name).expect("smoke workload exists");
         let adfg = AnalyzedDfg::new(dfg);
+        let c = cfg(capacity, span_limit);
+        // The visitor count is the independent cross-check: it never
+        // touches a table builder.
         let mut count = 0u64;
-        mps::patterns::for_each_antichain(&adfg, cfg(span_limit), |_, _| count += 1);
-        let table = PatternTable::build(&adfg, cfg(span_limit));
-        // Force multi-worker scheduling so the depth-1 branch splitter and
-        // the root-granular baseline both run (and agree) on every push,
-        // even when CI lands on a single-core runner.
-        let split = PatternTable::build_with_workers(&adfg, cfg(span_limit), 4);
-        let granular = PatternTable::build_root_granular(&adfg, cfg(span_limit), 4);
-        let status = if count == expected
-            && table.total_antichains() == expected
-            && split.total_antichains() == expected
-            && granular.total_antichains() == expected
-        {
+        mps::patterns::for_each_antichain(&adfg, c, |_, _| count += 1);
+        let table = PatternTable::build(&adfg, c);
+        let status = if count == expected && table.total_antichains() == expected {
             "ok"
         } else {
             failures += 1;
             "MISMATCH"
         };
         println!(
-            "smoke {name} span={}: antichains={count} classified={} split={} granular={} \
+            "smoke {name} C{capacity} span={}: antichains={count} classified={} \
              expected={expected} … {status}",
             span_str(span_limit),
             table.total_antichains(),
-            split.total_antichains(),
-            granular.total_antichains(),
         );
     }
     if failures > 0 {
@@ -1408,6 +1337,18 @@ fn smoke() -> i32 {
         0
     }
 }
+
+/// The sections `--only` can pick.
+const SECTIONS: [&str; 8] = [
+    "classify",
+    "select",
+    "batch",
+    "serve",
+    "shed",
+    "warm_start",
+    "fleet",
+    "partition",
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -1423,22 +1364,59 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
-    let mut rows = Vec::new();
-    for (name, adfg) in workloads() {
-        for limit in SPAN_LIMITS {
-            rows.push(measure(name, &adfg, limit));
+    // `--only <section>`: measure one section, leave the others empty.
+    let only = args
+        .iter()
+        .position(|a| a == "--only")
+        .map(|i| args.get(i + 1).map(String::as_str).unwrap_or(""));
+    if let Some(section) = only {
+        if !SECTIONS.contains(&section) {
+            eprintln!("throughput: --only takes one of {}", SECTIONS.join(", "));
+            std::process::exit(2);
         }
     }
+    let run = |section: &str| only.is_none_or(|s| s == section);
     let sections = Sections {
-        rows,
-        select: measure_select(),
-        skew: measure_skew(),
-        batch: measure_batch(),
-        serve: measure_serve(),
-        shed: measure_shed(),
-        warm_start: measure_warm_start(),
-        fleet: measure_fleet(),
-        partition: measure_partition(),
+        classify: if run("classify") {
+            measure_classify()
+        } else {
+            Vec::new()
+        },
+        select: if run("select") {
+            measure_select()
+        } else {
+            Vec::new()
+        },
+        batch: if run("batch") {
+            measure_batch()
+        } else {
+            Vec::new()
+        },
+        serve: if run("serve") {
+            measure_serve()
+        } else {
+            Vec::new()
+        },
+        shed: if run("shed") {
+            measure_shed()
+        } else {
+            Vec::new()
+        },
+        warm_start: if run("warm_start") {
+            measure_warm_start()
+        } else {
+            Vec::new()
+        },
+        fleet: if run("fleet") {
+            measure_fleet()
+        } else {
+            Vec::new()
+        },
+        partition: if run("partition") {
+            measure_partition()
+        } else {
+            Vec::new()
+        },
     };
     if json {
         print_json(&sections, pr);

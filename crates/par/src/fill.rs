@@ -6,7 +6,9 @@
 //! index ranges from an atomic counter and write each computed element
 //! straight into its slot. Compared to the channel protocol this replaced,
 //! there is no per-item message, no `Vec<Option<U>>`, and no final
-//! re-collect — one `fetch_add` per chunk and one write per element.
+//! re-collect — one `fetch_add` per chunk and one write per element. The
+//! calling thread is one of the workers, so a map over `w` workers spawns
+//! `w − 1` threads.
 //!
 //! # Safety argument
 //!
@@ -15,13 +17,16 @@
 //!   exactly one worker, and workers write only indices they claimed.
 //! * **Buffer liveness** — the `Vec` is created before the thread scope and
 //!   the scope joins every worker before returning, so no write outlives
-//!   the buffer, and the parent thread never touches it while workers run.
+//!   the buffer. Until then the calling thread touches it only through
+//!   the indices it claimed as a worker.
 //! * **Initialization** — `set_len(len)` runs only after the scope returned
 //!   `Ok`, i.e. after every worker finished and every index in `0..len` was
 //!   written exactly once.
-//! * **Panics** — if the mapping closure panics, the scope propagates the
-//!   panic and the output `Vec` drops with `len == 0`: elements already
-//!   written are leaked, never double-dropped or read uninitialized.
+//! * **Panics** — if the mapping closure panics, on a spawned worker or on
+//!   the calling thread, the scope joins the other workers and propagates
+//!   the panic, and the output `Vec` drops with `len == 0`: elements
+//!   already written are leaked, never double-dropped or read
+//!   uninitialized.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -50,22 +55,27 @@ where
     let mut out: Vec<U> = Vec::with_capacity(len);
     let shared = SharedOut(out.as_mut_ptr());
     let next = AtomicUsize::new(0);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            let (shared, next, f) = (&shared, &next, &f);
-            scope.spawn(move |_| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                for i in start..(start + chunk).min(len) {
-                    let value = f(i);
-                    // SAFETY: `i` was claimed by this worker alone and is
-                    // in bounds of the capacity-`len` allocation.
-                    unsafe { shared.0.add(i).write(value) };
-                }
-            });
+    // Takes the buffer as an argument: a closure capturing `shared.0`
+    // would capture the raw pointer itself, which is not `Sync`.
+    let work = |shared: &SharedOut<U>| loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= len {
+            break;
         }
+        for i in start..(start + chunk).min(len) {
+            let value = f(i);
+            // SAFETY: `i` was claimed by this worker alone and is
+            // in bounds of the capacity-`len` allocation.
+            unsafe { shared.0.add(i).write(value) };
+        }
+    };
+    crossbeam::thread::scope(|scope| {
+        for _ in 1..workers {
+            let (shared, work) = (&shared, &work);
+            scope.spawn(move |_| work(shared));
+        }
+        // The calling thread is the last worker.
+        work(&shared);
     })
     .expect("worker thread panicked");
     // SAFETY: the scope joined cleanly, so every index in `0..len` was

@@ -13,13 +13,12 @@
 //!   no channel, no per-item message, no `Vec<Option<U>>` re-collect.
 //! * [`par_fold`] — per-worker local accumulators merged once at the end,
 //!   so reductions combine `T` thread-locals instead of one partial per
-//!   item (the pattern-table builder's hot path).
+//!   item (the Table 5 span histogram).
 //! * [`par_fold_irregular`] — the same fold over a pre-classified
 //!   heavy/light item list: heavy items claimed one at a time and drained
-//!   first, light items chunked. Built for skewed workloads (one
-//!   enumeration root's split branches among thousands of trivial roots)
-//!   where uniform chunking would lump several expensive items into one
-//!   claim.
+//!   first, light items chunked. Built for skewed workloads (a few
+//!   expensive items among thousands of trivial ones) where uniform
+//!   chunking would lump several expensive items into one claim.
 //! * [`par_reduce`] — parallel map + associative fold,
 //! * [`par_for_each`] — side-effecting variant,
 //! * [`parallelism`] — thread-count heuristic honouring `MPS_THREADS`,
@@ -28,8 +27,8 @@
 //!   drain-on-close for consumers; [`BoundedQueue::try_push`] for
 //!   shed-instead-of-block admission),
 //! * [`CancelToken`] — a cooperative stop flag with an optional deadline,
-//!   polled by [`par_fold_irregular_cancel_in`]'s claim loops so a
-//!   cancelled enumeration stops claiming work instead of running to
+//!   polled by [`par_fold_irregular_cancel_in`]'s claim loops and by the
+//!   pattern-table build, so cancelled work stops instead of running to
 //!   completion.
 //!
 //! All entry points fall back to straight sequential execution when the input
@@ -123,9 +122,11 @@ where
 /// heuristic.
 ///
 /// `workers` is clamped to the item count; `0` and `1` both mean
-/// sequential execution in slice order. Exposed so callers that sweep
-/// thread counts deterministically — batch-compile benches, scaling tests
-/// — can pin the fan-out without touching the `MPS_THREADS` environment.
+/// sequential execution in slice order. The calling thread is one of the
+/// workers, so `workers` workers spawn `workers − 1` threads. Exposed so
+/// callers that sweep thread counts deterministically — batch-compile
+/// benches, scaling tests — can pin the fan-out without touching the
+/// `MPS_THREADS` environment.
 pub fn par_map_in<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -451,6 +452,21 @@ mod tests {
             assert_eq!(out, expect, "workers={workers}");
         }
         assert!(par_map_in(4, &[] as &[u32], |&x| x).is_empty());
+    }
+
+    #[test]
+    fn par_map_in_runs_one_worker_on_the_calling_thread() {
+        // `workers` workers are the caller plus `workers - 1` spawned
+        // threads, so no more than that many other threads ever run items.
+        let caller = std::thread::current().id();
+        let ids = par_map_in(3, &[(); 256], |_| std::thread::current().id());
+        let spawned: std::collections::HashSet<_> =
+            ids.into_iter().filter(|&id| id != caller).collect();
+        assert!(
+            spawned.len() <= 2,
+            "{} spawned threads ran items",
+            spawned.len()
+        );
     }
 
     #[test]

@@ -144,8 +144,7 @@ fn and_above_unrolled(dst: &mut [u64], a: &[u64], b: &[u64], idx: usize) {
 }
 
 /// Count the set bits of `words` at bit indices strictly greater than
-/// `idx` — the popcount behind the depth-1 work estimator that decides
-/// which enumeration roots are worth splitting across workers.
+/// `idx` — the popcount behind [`crate::depth1_branch_count`].
 pub fn count_above(words: &[u64], idx: usize) -> usize {
     let iw = idx / 64;
     words
@@ -160,10 +159,8 @@ pub fn count_above(words: &[u64], idx: usize) -> usize {
 }
 
 /// Count the set bits of `a & b` at bit indices strictly greater than
-/// `idx` — [`and_above`] fused with a popcount and no destination write.
-/// This is the per-branch step of the split planner's *second-order* work
-/// estimate: for a candidate root it sums, over every depth-1 branch, the
-/// number of depth-2 candidates that branch would open.
+/// `idx` — [`and_above`] fused with a popcount and no destination write:
+/// the number of depth-2 candidates a depth-1 branch opens.
 pub fn and_above_count(a: &[u64], b: &[u64], idx: usize) -> usize {
     debug_assert_eq!(a.len(), b.len());
     let iw = idx / 64;

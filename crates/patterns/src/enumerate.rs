@@ -1,6 +1,6 @@
 //! Span-limited antichain enumeration (paper §5.1).
 
-use crate::bits::{and_above, and_above_count, count_above, BitIter};
+use crate::bits::{and_above, count_above, BitIter};
 use mps_dfg::{AnalyzedDfg, Antichain, NodeId};
 
 /// Parameters of the antichain enumeration.
@@ -14,9 +14,10 @@ pub struct EnumerateConfig {
     /// insertion), which is the paper's complexity-control lever (Table 5).
     /// `None` disables the limit.
     pub span_limit: Option<u32>,
-    /// Process enumeration roots on multiple threads (only affects the
-    /// accumulating entry points in [`crate::PatternTable`]; the sequential
-    /// visitors ignore it).
+    /// Process enumeration roots on multiple threads. Only
+    /// [`crate::PatternTable::build_reference`] acts on it;
+    /// [`crate::PatternTable::build`] and the visitors run on the calling
+    /// thread whatever its value.
     pub parallel: bool,
 }
 
@@ -47,8 +48,8 @@ impl EnumerateConfig {
 /// scratch stacks `scratch[d]`, each sized for the whole graph up front.
 /// [`AntichainEnumerator::enumerate_root`] therefore performs **no heap
 /// allocation**, no matter how many antichains it visits — the property
-/// [`crate::PatternTable::build`] relies on when one worker reuses a
-/// single enumerator for every root it claims.
+/// the DFS fold of [`crate::PatternTable::build_dfs`] relies on when it
+/// reuses one enumerator for every root.
 ///
 /// # Scratch-stack invariants
 ///
@@ -127,9 +128,8 @@ impl<'a> AntichainEnumerator<'a> {
     ///
     /// Together with [`AntichainEnumerator::enumerate_branch`] over every
     /// depth-1 branch, this reconstitutes exactly the multiset
-    /// [`AntichainEnumerator::enumerate_root`] visits — the identity the
-    /// split parallel table build relies on (and the property tests
-    /// check).
+    /// [`AntichainEnumerator::enumerate_root`] visits (the property tests
+    /// check the identity).
     pub fn enumerate_singleton<F: FnMut(&Antichain, u32)>(&mut self, root: NodeId, mut visit: F) {
         self.current = Antichain::new();
         self.current.push(root);
@@ -144,9 +144,7 @@ impl<'a> AntichainEnumerator<'a> {
     /// `root` with a greater node id. When it is not — or when
     /// `{root, branch}` already exceeds the span limit, or the capacity is
     /// 1 — nothing is visited. The DFS below depth 1 is independent per
-    /// branch, which is what makes this a sound unit of parallelism: a
-    /// skewed root's tree can be claimed branch-by-branch by different
-    /// workers instead of serializing on one.
+    /// branch, so a root's tree can be split branch by branch.
     pub fn enumerate_branch<F: FnMut(&Antichain, u32)>(
         &mut self,
         root: NodeId,
@@ -258,7 +256,7 @@ pub fn for_each_antichain<F: FnMut(&Antichain, u32)>(
 }
 
 /// Visit every antichain whose minimum node id is `root` (the unit of
-/// parallelism used by [`crate::table::PatternTable`]).
+/// parallelism of [`crate::PatternTable::build_reference`]).
 ///
 /// Convenience wrapper that builds a fresh [`AntichainEnumerator`] for the
 /// one root; callers visiting many roots should construct the enumerator
@@ -281,20 +279,15 @@ pub fn enumerate_antichains(adfg: &AnalyzedDfg, cfg: EnumerateConfig) -> Vec<Ant
 }
 
 /// Number of depth-1 branches of `root`'s enumeration tree — the nodes
-/// parallel to `root` with a greater id — and the cheap work estimator
-/// behind root splitting: it is one masked popcount of the root's parallel
-/// row, it is 0 exactly for roots whose tree is the bare singleton, and a
-/// hub root (parallel to everything) scores highest. The estimate is a
-/// proxy, not the exact subtree size (subtrees grow super-linearly in the
-/// branch count), but it is monotone enough to find the skewed roots worth
-/// splitting.
+/// parallel to `root` with a greater id: one masked popcount of the root's
+/// parallel row, 0 exactly for roots whose tree is the bare singleton.
 pub fn depth1_branch_count(adfg: &AnalyzedDfg, root: NodeId) -> usize {
     count_above(adfg.reach().par_row(root), root.index())
 }
 
-/// Visit the depth-1 branches of `root` in ascending node-id order — the
-/// per-branch work units [`crate::PatternTable::build`] schedules for
-/// split roots. Visits exactly [`depth1_branch_count`] nodes.
+/// Visit the depth-1 branches of `root` in ascending node-id order (the
+/// units [`AntichainEnumerator::enumerate_branch`] takes). Visits exactly
+/// [`depth1_branch_count`] nodes.
 pub fn for_each_depth1_branch<F: FnMut(NodeId)>(adfg: &AnalyzedDfg, root: NodeId, mut f: F) {
     let ri = root.index();
     for i in BitIter::new(adfg.reach().par_row(root)) {
@@ -302,58 +295,6 @@ pub fn for_each_depth1_branch<F: FnMut(NodeId)>(adfg: &AnalyzedDfg, root: NodeId
             f(NodeId(i as u32));
         }
     }
-}
-
-/// Second-order work estimate of a root's enumeration tree: the number of
-/// depth-1 branches plus, for each branch, the number of depth-2
-/// candidates choosing it would open (`popcount(par(root) ∩ par(branch))`
-/// above the branch, via [`and_above_count`]).
-///
-/// The depth-1 proxy ([`depth1_branch_count`]) is linear while subtree
-/// sizes grow combinatorially, so it systematically over-rates *sparse*
-/// hubs — a broom's hub is parallel to `n` chain nodes but every one of
-/// its branches is a leaf, and splitting it buys `n` units of bookkeeping
-/// for `n` visits of work. The second-order estimate counts exactly the
-/// size-≤ 2 prefix of the tree (each branch contributes itself plus its
-/// depth-2 candidate count), so dense roots — whose branches open real
-/// subtrees — score combinatorially higher than sparse ones of equal
-/// branch count, and the planner splits fewer, heavier roots.
-///
-/// With `capacity` ≤ 2 no depth-2 node is ever enumerated, so the
-/// first-order count *is* exact there; callers should pass the enumeration
-/// capacity via [`EnumerateConfig`] and use
-/// [`root_weight_estimate`]`(adfg, root)` only when `capacity > 2`.
-pub fn root_weight_estimate(adfg: &AnalyzedDfg, root: NodeId) -> usize {
-    let par_root = adfg.reach().par_row(root);
-    let ri = root.index();
-    let mut weight = 0usize;
-    for b in BitIter::new(par_root) {
-        if b > ri {
-            weight += 1 + and_above_count(par_root, adfg.reach().par_row(NodeId(b as u32)), b);
-        }
-    }
-    weight
-}
-
-/// Fewest depth-1 branches a root must have before splitting it can pay
-/// for the per-branch overhead (each branch unit re-derives its depth-2
-/// candidate row and re-primes the classifier's prefix stack).
-pub(crate) const MIN_SPLIT_BRANCHES: usize = 4;
-
-/// Branch-count threshold at or above which a root is *heavy* and worth
-/// splitting into per-branch work units.
-///
-/// `total_weight` is the sum of [`depth1_branch_count`] over every root.
-/// The policy aims the largest unsplit item at ≤ 1/(4 × `workers`) of the
-/// total estimated weight — small enough that dynamic claiming can level
-/// the tail — while never splitting roots with fewer than a handful of
-/// branches, and never splitting at all for a single worker (splitting
-/// buys nothing sequentially).
-pub fn split_threshold(total_weight: usize, workers: usize) -> usize {
-    if workers <= 1 {
-        return usize::MAX;
-    }
-    (total_weight / (workers * 4)).max(MIN_SPLIT_BRANCHES)
 }
 
 #[cfg(test)]
@@ -631,56 +572,6 @@ mod tests {
             }
             assert!(listed.windows(2).all(|w| w[0].index() < w[1].index()));
         }
-    }
-
-    #[test]
-    fn second_order_estimate_separates_dense_from_sparse_hubs() {
-        // Two hubs with *equal* depth-1 branch counts: one over 6 mutually
-        // parallel leaves (dense — every branch opens a real subtree), one
-        // over a 6-node chain (sparse — every branch is a leaf). The
-        // first-order proxy cannot tell them apart; the second-order one
-        // rates the dense hub combinatorially heavier.
-        let mut b = DfgBuilder::new();
-        let _dense_hub = b.add_node("dh", c('a'));
-        for i in 0..6 {
-            b.add_node(format!("p{i}"), c('b'));
-        }
-        let dense = AnalyzedDfg::new(b.build().unwrap());
-        let dh = dense.dfg().find("dh").unwrap();
-
-        let mut b = DfgBuilder::new();
-        let _sparse_hub = b.add_node("sh", c('a'));
-        let chain: Vec<_> = (0..6)
-            .map(|i| b.add_node(format!("q{i}"), c('b')))
-            .collect();
-        for w in chain.windows(2) {
-            b.add_edge(w[0], w[1]).unwrap();
-        }
-        let sparse = AnalyzedDfg::new(b.build().unwrap());
-        let sh = sparse.dfg().find("sh").unwrap();
-
-        assert_eq!(depth1_branch_count(&dense, dh), 6);
-        assert_eq!(depth1_branch_count(&sparse, sh), 6, "first-order ties");
-        // Dense: branch leaf_i opens the 5−i leaves after it → 6 + 15.
-        assert_eq!(root_weight_estimate(&dense, dh), 21);
-        // Sparse: chain nodes are mutually sequential → leaves only.
-        assert_eq!(root_weight_estimate(&sparse, sh), 6);
-    }
-
-    #[test]
-    fn split_threshold_policy() {
-        // Sequential execution never splits.
-        assert_eq!(split_threshold(1_000_000, 1), usize::MAX);
-        assert_eq!(split_threshold(0, 0), usize::MAX);
-        // Tiny roots are never worth splitting.
-        for workers in [2usize, 8, 64] {
-            assert!(split_threshold(0, workers) >= 4);
-        }
-        // The target: largest unsplit item ≤ total / (4 × workers).
-        assert_eq!(split_threshold(8000, 2), 1000);
-        assert_eq!(split_threshold(8000, 8), 250);
-        // More workers → lower threshold → more splitting.
-        assert!(split_threshold(8000, 8) < split_threshold(8000, 2));
     }
 
     #[test]

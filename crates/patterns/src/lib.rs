@@ -21,16 +21,15 @@
 //! preallocates every per-depth buffer and is reusable across roots). The
 //! intersection runs through the widened [`and_above`] kernel (4-lane
 //! unrolled u64, runtime-gated AVX2 on `x86_64`, with [`and_above_scalar`]
-//! as the oracle). Classification packs each antichain's color bag into a
-//! `u128` key — per-color nibble counts, no sorting — and interns keys
-//! into dense [`PatternId`]s, so the table builder's hot loop is integer
-//! adds plus one hash-map probe per antichain. Parallel builds schedule at
-//! *(root, depth-1 branch)* granularity: skewed roots (found by the
-//! [`depth1_branch_count`] estimator under the [`split_threshold`] policy)
-//! are split across their depth-1 branches
-//! ([`AntichainEnumerator::enumerate_branch`]) so one hub root cannot
-//! serialize the build, with one accumulator per `mps-par` worker merged
-//! at the end.
+//! as the oracle).
+//!
+//! [`PatternTable::build`] does not visit the antichains one by one: it
+//! interns the enumeration's DFS frames by state (candidates, remaining
+//! capacity, span window) into a DAG and gets every pattern's count and
+//! `h(p̄, n)` from one forward–backward pass over it. Builds small enough
+//! that this does not pay run the DFS fold
+//! ([`PatternTable::build_dfs`]), which packs each antichain's color bag
+//! into a `u128` key and interns it into a dense [`PatternId`].
 
 // `deny`, not `forbid`: the one sanctioned exception is the AVX2 variant
 // of the enumerator's word kernel in [`bits`], which scopes an
@@ -40,6 +39,7 @@
 
 mod bits;
 mod cover;
+mod dag;
 mod enumerate;
 mod hasse;
 mod key;
@@ -50,10 +50,10 @@ mod width;
 
 pub use bits::{and_above, and_above_count, and_above_scalar, count_above, BitIter};
 pub use cover::CoverMatrix;
+pub use dag::DagStats;
 pub use enumerate::{
     depth1_branch_count, enumerate_antichains, for_each_antichain, for_each_antichain_from_root,
-    for_each_depth1_branch, root_weight_estimate, split_threshold, AntichainEnumerator,
-    EnumerateConfig,
+    for_each_depth1_branch, AntichainEnumerator, EnumerateConfig,
 };
 pub use hasse::SubpatternLattice;
 pub use key::PackedBag;

@@ -1,12 +1,10 @@
 //! Classification of antichains by pattern (§5.1) and the Table 5 span
 //! histogram.
 
+use crate::bits::BitIter;
 use crate::cover::CoverMatrix;
-use crate::enumerate::{
-    depth1_branch_count, for_each_antichain_from_root, for_each_depth1_branch,
-    root_weight_estimate, split_threshold, AntichainEnumerator, EnumerateConfig,
-    MIN_SPLIT_BRANCHES,
-};
+use crate::dag::{Abort, DagStats};
+use crate::enumerate::{for_each_antichain_from_root, AntichainEnumerator, EnumerateConfig};
 use crate::key::{KeyInterner, PatternKey};
 use crate::pattern::Pattern;
 use mps_dfg::{AnalyzedDfg, Antichain, NodeId};
@@ -102,10 +100,9 @@ impl<'de> Deserialize<'de> for PatternTable {
 /// "No child interned yet" sentinel in the transition cache.
 const NO_ID: u32 = u32::MAX;
 
-/// Per-worker classification state: a private key interner plus dense,
+/// Classification state of the DFS fold: a key interner plus dense,
 /// id-indexed aggregates. `freqs` is one flat row-major buffer (stride =
-/// node count), so recording an antichain touches only its own row and
-/// merging thread-locals is a straight indexed sum.
+/// node count), so recording an antichain touches only its own row.
 ///
 /// The id of a visited antichain's pattern is almost never resolved by
 /// hashing: the enumerator visits every antichain immediately after its
@@ -113,7 +110,6 @@ const NO_ID: u32 = u32::MAX;
 /// id is one lookup in the dense `(parent pattern, added color)` →
 /// `child pattern` transition cache. The interner (one `u128` probe) is
 /// only consulted the first time a transition is taken.
-#[derive(Clone)]
 struct LocalTable {
     interner: KeyInterner,
     counts: Vec<u64>,
@@ -196,103 +192,48 @@ impl LocalTable {
         }
     }
 
-    /// Prime the prefix stacks as if the singleton `{root}` had just been
-    /// recorded — without counting it. Required before replaying a
-    /// depth-1 branch unit: its first visit is a length-2 antichain, and
-    /// [`LocalTable::record`] resolves it through the length-1 prefix's
-    /// interned id and key. The actual singleton count is recorded by
-    /// whichever worker claims the root's singleton work item; interning
-    /// here can at most create a zero-count entry for a pattern the
-    /// singleton item is guaranteed to count anyway.
-    fn seed_prefix(&mut self, root: NodeId) {
-        let node = root.index();
-        let color = self.colors[node] as usize;
-        let key = PatternKey::EMPTY.plus(self.deltas[node]);
-        self.key_stack[1] = key;
-        let mut id = self.transitions[0][color];
-        if id == NO_ID {
-            id = self.intern_miss(0, color, key);
-        }
-        self.id_stack[1] = id;
-    }
-
-    /// Fold `other` into `self`, reconciling the two id spaces by key.
-    fn merge(&mut self, other: LocalTable) {
-        for (other_id, &key) in other.interner.keys().iter().enumerate() {
-            let id = self.interner.intern(PatternKey(key));
-            self.grow_to(id);
-            let id = id as usize;
-            self.counts[id] += other.counts[other_id];
-            let dst = &mut self.freqs[id * self.num_nodes..(id + 1) * self.num_nodes];
-            let src = &other.freqs[other_id * self.num_nodes..(other_id + 1) * self.num_nodes];
-            for (d, s) in dst.iter_mut().zip(src.iter()) {
-                *d += s;
-            }
-        }
-    }
-
-    /// Warm one `(singleton, color)` transition: intern the pair pattern
-    /// `{prefix root, branch}` and memoize the edge, without counting
-    /// anything. Requires [`LocalTable::seed_prefix`] for the root to have
-    /// just run (it leaves the root's key and id on the prefix stacks).
-    /// Sound for the same reason `seed_prefix` is: the caller only warms
-    /// pairs the full enumeration is guaranteed to visit, so a warmed
-    /// zero-count entry is always recounted.
-    fn warm_pair(&mut self, branch: NodeId) {
-        let node = branch.index();
-        let color = self.colors[node] as usize;
-        let slot = self.id_stack[1] as usize + 1;
-        if self.transitions[slot][color] == NO_ID {
-            let key = self.key_stack[1].plus(self.deltas[node]);
-            self.intern_miss(slot, color, key);
-        }
-    }
-
-    /// Unpack into the final sorted, `Pattern`-indexed table. The cover
-    /// matrix is derived here, in one pass over the merged frequency rows
-    /// — O(patterns × nodes), noise next to the enumeration itself — so
-    /// the per-antichain record loop stays exactly as tight as before the
-    /// matrix existed.
     fn finish(self) -> PatternTable {
-        let n = self.num_nodes;
-        let mut stats: Vec<PatternStats> = self
-            .interner
-            .keys()
-            .iter()
-            .enumerate()
-            .map(|(id, &key)| PatternStats {
-                pattern: PatternKey(key).to_pattern(),
-                antichain_count: self.counts[id],
-                node_freq: self.freqs[id * n..(id + 1) * n].to_vec(),
-            })
-            .collect();
-        stats.sort_by_key(|s| s.pattern);
-        let cover = CoverMatrix::from_stats(n, &stats);
-        let index = stats
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.pattern, i))
-            .collect();
-        PatternTable {
-            stats,
-            index,
-            num_nodes: n,
-            cover,
-        }
+        table_from_rows(
+            self.num_nodes,
+            self.interner.keys(),
+            &self.counts,
+            &self.freqs,
+        )
     }
 }
 
-/// One unit of enumeration+classification work in the split parallel
-/// build: a whole root's tree, a split root's bare singleton, or one
-/// depth-1 branch of a split root.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum WorkItem {
-    /// Enumerate everything rooted at the node (unsplit root).
-    Root(NodeId),
-    /// Count only the singleton `{node}` of a split root.
-    Singleton(NodeId),
-    /// Enumerate the depth-1 branch `(root, branch)` of a split root.
-    Branch(NodeId, NodeId),
+/// Unpack dense id-indexed aggregates into the final sorted,
+/// `Pattern`-indexed table. The cover matrix is derived here, in one pass
+/// over the frequency rows — O(patterns × nodes), noise next to the build
+/// itself.
+pub(crate) fn table_from_rows(
+    n: usize,
+    keys: &[u128],
+    counts: &[u64],
+    freqs: &[u64],
+) -> PatternTable {
+    let mut stats: Vec<PatternStats> = keys
+        .iter()
+        .enumerate()
+        .map(|(id, &key)| PatternStats {
+            pattern: PatternKey(key).to_pattern(),
+            antichain_count: counts[id],
+            node_freq: freqs[id * n..(id + 1) * n].to_vec(),
+        })
+        .collect();
+    stats.sort_by_key(|s| s.pattern);
+    let cover = CoverMatrix::from_stats(n, &stats);
+    let index = stats
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.pattern, i))
+        .collect();
+    PatternTable {
+        stats,
+        index,
+        num_nodes: n,
+        cover,
+    }
 }
 
 /// Packed per-node classification inputs (colors + key deltas), or `None`
@@ -311,150 +252,45 @@ fn packed_inputs(adfg: &AnalyzedDfg) -> Option<(Vec<u8>, Vec<u128>)> {
     Some((colors, deltas?))
 }
 
-/// Total-estimate floor below which a split parallel build runs
-/// sequentially instead: the whole enumeration is at most a few thousand
-/// size-≤ 2 visits, which a single core finishes in tens of microseconds —
-/// less than spawning the worker threads costs, let alone the per-branch
-/// split bookkeeping. (`broom512` is the canonical case: 1 025 antichains
-/// total, where the pre-floor split build paid thread spawn + 512 branch
-/// claims to parallelize ~30 µs of work and *lost* to the root-granular
-/// baseline — the `BENCH_3.json` 0.79–0.87× regression.)
-const MIN_PARALLEL_ESTIMATE: usize = 4096;
+/// Builds whose DFS visits at most this many antichains (by
+/// [`dfs_visit_bound`]) run the DFS fold instead of the state DAG. Fitted
+/// on the per-kernel table (`throughput --only classify`): below it the
+/// fold takes at most ~0.2 ms and the state DAG lost on about half the
+/// registry rows (`fig2`, `horner8` and `cordic8` at C 3–4); above it the
+/// DAG won all rows but two, which it lost by under 0.03 ms.
+const DFS_CUTOVER: u64 = 1 << 13;
 
-/// The work decomposition of one parallel table build.
-struct WorkPlan {
-    /// Per-branch units of split roots (claimed one at a time).
-    heavy: Vec<WorkItem>,
-    /// Unsplit roots and split roots' singletons (claimed in chunks).
-    light: Vec<WorkItem>,
-    /// Per-root [`root_weight_estimate`]s (or exact pair counts when
-    /// `capacity ≤ 2`), indexed by node — reused for the warm-up pass.
-    weights: Vec<usize>,
-    /// Estimated total visits: every singleton plus the size-≤ 2 tree
-    /// prefix of every root (`adfg.len() + Σ weights`).
-    total_estimate: usize,
-}
-
-/// Partition the roots into heavy/light work-item lists for
-/// [`mps_par::par_fold_irregular`]. A root is split into one
-/// [`WorkItem::Singleton`] (light) plus one [`WorkItem::Branch`] per
-/// depth-1 branch (heavy, claimed one at a time) when all of:
-///
-/// * its weight — the second-order [`root_weight_estimate`] (exact pair
-///   count for `capacity ≤ 2`) — reaches [`split_threshold`], so it is
-///   heavy *relative to the whole graph*;
-/// * it has at least [`MIN_SPLIT_BRANCHES`] branches to split into;
-/// * its weight is at least twice its branch count, i.e. the average
-///   branch opens at least one depth-2 candidate. Without real subtrees
-///   behind the branches (a broom hub: many branches, every one a leaf)
-///   each split unit is a single visit and the per-unit bookkeeping
-///   exceeds the work being distributed.
-///
-/// Everything else stays a single [`WorkItem::Root`] (light, claimed in
-/// chunks). With capacity 1 no root has branches, so nothing splits.
-fn plan_work_items(adfg: &AnalyzedDfg, cfg: EnumerateConfig, workers: usize) -> WorkPlan {
-    let second_order = cfg.capacity > 2;
-    let d1: Vec<usize> = adfg
-        .dfg()
-        .node_ids()
-        .map(|root| depth1_branch_count(adfg, root))
-        .collect();
-    let weights: Vec<usize> = if second_order {
-        adfg.dfg()
-            .node_ids()
-            .map(|root| root_weight_estimate(adfg, root))
-            .collect()
-    } else {
-        d1.clone()
-    };
-    let total_weight: usize = weights.iter().sum();
-    let threshold = if cfg.capacity > 1 {
-        split_threshold(total_weight, workers)
-    } else {
-        usize::MAX
-    };
-    let mut heavy = Vec::new();
-    let mut light = Vec::new();
-    for (i, root) in adfg.dfg().node_ids().enumerate() {
-        let split =
-            weights[i] >= threshold && d1[i] >= MIN_SPLIT_BRANCHES && weights[i] >= 2 * d1[i];
-        if split {
-            light.push(WorkItem::Singleton(root));
-            for_each_depth1_branch(adfg, root, |b| heavy.push(WorkItem::Branch(root, b)));
-        } else {
-            light.push(WorkItem::Root(root));
-        }
-    }
-    WorkPlan {
-        heavy,
-        light,
-        total_estimate: adfg.len() + total_weight,
-        weights,
-    }
-}
-
-/// Depth-1 `(singleton, color)` transitions warmed per build. The warm-up
-/// is duplicated sequential work, so it stays a small fixed fraction of
-/// any build big enough to parallelize.
-const WARM_PAIR_BUDGET: usize = 1024;
-
-/// The shared classification warm-up (built once, cloned into every
-/// worker): a [`LocalTable`] whose transition cache already holds the
-/// hottest edges — every root's `(∅, color)` singleton transition, plus
-/// the `(singleton, color)` depth-1 pair transitions of the heaviest
-/// roots, up to [`WARM_PAIR_BUDGET`]. Workers therefore start with the
-/// top of the transition graph memoized instead of each paying the
-/// interner-probe cold misses again; on short-lived workers (small claims
-/// of a skewed work list) those misses are a measurable fraction of the
-/// whole claim.
-///
-/// Everything interned here has zero counts and is guaranteed to be
-/// recounted by the full build — singletons are always visited, and pairs
-/// are only warmed when they pass the same span check
-/// [`AntichainEnumerator::enumerate_branch`] applies — so the merged table
-/// is bit-identical with or without warming.
-fn warm_prototype(
-    adfg: &AnalyzedDfg,
-    cfg: EnumerateConfig,
-    colors: &[u8],
-    deltas: &[u128],
-    weights: &[usize],
-) -> LocalTable {
-    let n = adfg.len();
-    let mut proto = LocalTable::new(n, colors, deltas);
-    for root in adfg.dfg().node_ids() {
-        proto.seed_prefix(root);
-    }
-    if cfg.capacity >= 2 {
-        let levels = adfg.levels();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        let mut budget = WARM_PAIR_BUDGET;
-        for &ri in &order {
-            if weights[ri] == 0 || budget == 0 {
-                break;
+/// Upper bound on the antichains the DFS fold visits, computed from the
+/// graph before any build: every antichain is its smallest node `v` plus
+/// at most `C − 1` of the later nodes that are parallel to `v` and within
+/// the span limit of it. Stops counting once past [`DFS_CUTOVER`].
+fn dfs_visit_bound(adfg: &AnalyzedDfg, cfg: EnumerateConfig) -> u64 {
+    let levels = adfg.levels();
+    let mut bound = 0u64;
+    for v in adfg.dfg().node_ids() {
+        let mut d = 0u64;
+        for u in BitIter::new(adfg.reach().par_row(v)) {
+            let u = NodeId(u as u32);
+            let span = levels
+                .asap(v)
+                .max(levels.asap(u))
+                .saturating_sub(levels.alap(v).min(levels.alap(u)));
+            if u.index() > v.index() && cfg.span_limit.is_none_or(|limit| span <= limit) {
+                d += 1;
             }
-            let root = NodeId(ri as u32);
-            proto.seed_prefix(root);
-            let (r_asap, r_alap) = (levels.asap(root), levels.alap(root));
-            for_each_depth1_branch(adfg, root, |b| {
-                if budget == 0 {
-                    return;
-                }
-                // Mirror the enumerator's span pruning: a pair over the
-                // limit is never visited, so warming it would leak a
-                // zero-count pattern into the table.
-                let span = r_asap
-                    .max(levels.asap(b))
-                    .saturating_sub(r_alap.min(levels.alap(b)));
-                if cfg.span_limit.is_none_or(|limit| span <= limit) {
-                    proto.warm_pair(b);
-                    budget -= 1;
-                }
-            });
+        }
+        // Σ_{j < C} binomial(d, j).
+        let mut term = 1u64;
+        bound += 1;
+        for j in 1..cfg.capacity as u64 {
+            term = term.saturating_mul(d.saturating_sub(j - 1)) / j;
+            bound = bound.saturating_add(term);
+        }
+        if bound > DFS_CUTOVER {
+            break;
         }
     }
-    proto
+    bound
 }
 
 impl PatternTable {
@@ -499,88 +335,89 @@ impl PatternTable {
         })
     }
 
-    /// Enumerate all antichains of `adfg` under `cfg` and classify them by
-    /// pattern. When `cfg.parallel`, work is distributed at *(root,
-    /// depth-1 branch)* granularity: skewed roots — whose search tree
-    /// would otherwise serialize a whole worker — are split across their
-    /// depth-1 branches (see [`split_threshold`] and
-    /// [`AntichainEnumerator::enumerate_branch`]) and scheduled through
-    /// [`mps_par::par_fold_irregular`], branch units claimed one at a
-    /// time, unsplit roots in chunks.
+    /// Classify every antichain of `adfg` under `cfg` by pattern, without
+    /// visiting the antichains one by one.
     ///
-    /// The hot path is allocation-free: each worker reuses one
-    /// [`AntichainEnumerator`] and classifies every visited antichain into
-    /// a dense id-indexed `LocalTable` — via its transition cache in the
-    /// common case, via one packed-`PatternKey` interner probe on the
-    /// first sight of a pattern extension — and the per-worker tables
-    /// merge once at the end. The merged table is identical whatever the
-    /// worker count or split decisions: counts commute, and the final
-    /// table is sorted into canonical pattern order. Graphs whose colors
-    /// fall outside the packable alphabet (index ≥ 26) take
-    /// [`PatternTable::build_reference`] instead.
+    /// # The state DAG
+    ///
+    /// Below any frame of the §5.1 DFS, the subtree depends only on the
+    /// frame's state `(candidates, remaining capacity, span window)`. The
+    /// build interns those states — each in one key arena, hashed once —
+    /// so the DFS tree folds into a DAG, then sums over it: `B[t]`, the
+    /// colour bags of the paths below `t`, in post-order as states are
+    /// interned, and `F[s]`, the colour bags of the paths above `s`, in
+    /// reverse order. An edge `s →v→ t` ends `F[s]` antichains with `v`
+    /// and puts `v` in `F[s] ⊗ B[t]` of them:
+    ///
+    /// ```text
+    /// count[X + c(v)]      += F[s][X]
+    /// h(X + c(v) + Y, v)   += F[s][X] · B[t][Y]
+    /// ```
+    ///
+    /// States are normalised before interning, so frames with equal
+    /// subtrees share one state: candidates the window already forbids
+    /// are dropped, the window is clamped to the candidates' ASAP/ALAP
+    /// range (and dropped once it can prune nothing), the capacity is
+    /// clamped to the candidate count, and empty or zero-capacity frames
+    /// are the one terminal state. States with one slot left take a
+    /// closed form (the empty bag plus one singleton per candidate) and
+    /// store no edges. The forward pass sums `F` per (label, target) pair
+    /// before convolving with `B`, and the nodes are visited in whichever
+    /// of two orders (the graph's own, or by mobility) a cheap depth-2
+    /// score predicts gives the smaller DAG. See the `dag` module for the
+    /// layout.
+    ///
+    /// # Memory
+    ///
+    /// The DAG's arenas live in pooled workspaces that builds clear and
+    /// reuse, and no arena allocates per state. A workspace that grew
+    /// past 128 KiB is freed after its build instead of pooled, so a
+    /// concurrent builder keeps at most that much between builds. A build
+    /// that would hold more than 512 KiB stops and runs the DFS fold
+    /// instead. The largest registry-kernel build at C ≤ 5 (`fft8`, C 5)
+    /// holds about 226 KiB.
+    ///
+    /// # Cutover
+    ///
+    /// Builds whose DFS visits at most 2¹³ antichains — bounded from the
+    /// graph before the build by counting, per node, the later nodes that
+    /// are parallel to it within the span limit — run the DFS fold
+    /// ([`PatternTable::build_dfs`]) directly: below that bound the fold
+    /// takes well under a millisecond and the DAG's fixed costs often
+    /// lose. So do graphs with a colour outside the packable alphabet
+    /// ([`PatternTable::build_reference`]) or a colour-bag space too large
+    /// to index densely.
+    ///
+    /// The result is identical on every path, and `cfg.parallel` changes
+    /// nothing: both the DAG and the fold run on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// If an antichain count or node frequency passes `u64::MAX` — for
+    /// example 128 isolated nodes at `C = 16`, which have C(128, 16) ≈
+    /// 9.3·10¹⁹ antichains. The message names the node count and the
+    /// capacity. A wrapped table is never returned.
     pub fn build(adfg: &AnalyzedDfg, cfg: EnumerateConfig) -> PatternTable {
-        let workers = if cfg.parallel {
-            mps_par::parallelism()
-        } else {
-            1
-        };
-        Self::build_with_workers(adfg, cfg, workers)
+        Self::build_impl(adfg, cfg, None)
     }
 
-    /// [`PatternTable::build`] with an explicit worker count instead of
-    /// [`mps_par::parallelism`]'s heuristic (`cfg.parallel` is ignored;
-    /// `workers <= 1` means sequential). The split/schedule decisions
-    /// follow `workers`, so benches and tests can sweep thread counts
-    /// deterministically without touching the `MPS_THREADS` environment.
-    pub fn build_with_workers(
-        adfg: &AnalyzedDfg,
-        cfg: EnumerateConfig,
-        workers: usize,
-    ) -> PatternTable {
-        Self::build_impl(adfg, cfg, workers, true)
-    }
-
-    /// The split-free parallel build: one whole root per work unit — the
-    /// scheduling granularity this crate shipped before branch splitting.
-    /// `workers` as in [`PatternTable::build_with_workers`].
-    ///
-    /// Kept because it is the honest baseline for the splitter's benches
-    /// (same enumerator, same classifier, only the work decomposition
-    /// differs) and an extra equivalence oracle for the split path. On
-    /// balanced graphs it performs identically to [`PatternTable::build`];
-    /// on skewed graphs (a hub root owning most of the search volume) it
-    /// serializes on the hub while the split build keeps all workers busy.
-    pub fn build_root_granular(
-        adfg: &AnalyzedDfg,
-        cfg: EnumerateConfig,
-        workers: usize,
-    ) -> PatternTable {
-        Self::build_impl(adfg, cfg, workers, false)
-    }
-
-    /// [`PatternTable::build`] with cooperative cancellation: the claim
-    /// loops distributing enumeration roots poll `cancel` (see
-    /// [`mps_par::par_fold_irregular_cancel_in`]), so a cancelled or
-    /// deadline-expired build stops within one in-flight work unit and
-    /// returns `Err` with the [`mps_par::CancelKind`] that fired instead
-    /// of a partial table. A token that never fires changes nothing: the
+    /// [`PatternTable::build`] with cooperative cancellation: the state
+    /// DAG polls `cancel` every 64 states it interns or folds, so a
+    /// cancelled or deadline-expired build stops within a few
+    /// microseconds and returns `Err` with the [`mps_par::CancelKind`]
+    /// that fired instead of a partial table. The DFS fold polls between
+    /// enumeration roots. A token that never fires changes nothing: the
     /// result is bit-identical to [`PatternTable::build`].
     ///
-    /// The unpackable-color fallback ([`PatternTable::build_reference`])
-    /// is not instrumented — those graphs run to completion and are only
-    /// discarded by the final token check; they are outside the hot path
-    /// this exists for.
+    /// # Panics
+    ///
+    /// As [`PatternTable::build`].
     pub fn build_with_cancel(
         adfg: &AnalyzedDfg,
         cfg: EnumerateConfig,
         cancel: &CancelToken,
     ) -> Result<PatternTable, CancelKind> {
-        let workers = if cfg.parallel {
-            mps_par::parallelism()
-        } else {
-            1
-        };
-        let table = Self::build_impl_cancel(adfg, cfg, workers, true, Some(cancel));
+        let table = Self::build_impl(adfg, cfg, Some(cancel));
         // Sticky token: if it fired at any point during the build the
         // table may be partial, so one final check decides the result.
         match cancel.cancel_kind() {
@@ -592,80 +429,53 @@ impl PatternTable {
     fn build_impl(
         adfg: &AnalyzedDfg,
         cfg: EnumerateConfig,
-        workers: usize,
-        split: bool,
-    ) -> PatternTable {
-        Self::build_impl_cancel(adfg, cfg, workers, split, None)
-    }
-
-    fn build_impl_cancel(
-        adfg: &AnalyzedDfg,
-        cfg: EnumerateConfig,
-        workers: usize,
-        split: bool,
         cancel: Option<&CancelToken>,
     ) -> PatternTable {
         let Some((colors, deltas)) = packed_inputs(adfg) else {
             return Self::build_reference(adfg, cfg);
         };
-        let n = adfg.len();
-        let (colors, deltas) = (&colors, &deltas);
-        let mut workers = workers;
-        // The split path plans its work list and, when the whole job is
-        // estimated too small to amortize thread spawn and split
-        // bookkeeping (see [`MIN_PARALLEL_ESTIMATE`]), degrades to a
-        // fully sequential build; workers then start from a shared warmed
-        // transition cache instead of all-cold ones. The root-granular
-        // path (`split == false`) keeps the unplanned, unwarmed PR-2
-        // behavior — it is the baseline the skew benches compare against.
-        let mut proto = None;
-        let (heavy, light) = if split && workers > 1 {
-            let plan = plan_work_items(adfg, cfg, workers);
-            if plan.total_estimate < MIN_PARALLEL_ESTIMATE {
-                workers = 1;
-                (
-                    Vec::new(),
-                    adfg.dfg().node_ids().map(WorkItem::Root).collect(),
-                )
-            } else {
-                proto = Some(warm_prototype(adfg, cfg, colors, deltas, &plan.weights));
-                (plan.heavy, plan.light)
+        if dfs_visit_bound(adfg, cfg) > DFS_CUTOVER {
+            match crate::dag::build(adfg, cfg.capacity, cfg.span_limit, &deltas, cancel) {
+                Ok((table, _)) => return table,
+                // The caller discards whatever is returned.
+                Err(Abort::Cancelled(_)) => return table_from_rows(adfg.len(), &[], &[], &[]),
+                Err(Abort::OverBudget) => {}
             }
-        } else {
-            // Sequential or split-free: every root is one (light) unit.
-            let roots = adfg.dfg().node_ids().map(WorkItem::Root).collect();
-            (Vec::new(), roots)
-        };
-        let proto = &proto;
-        mps_par::par_fold_irregular_cancel_in(
-            workers,
-            &heavy,
-            &light,
-            cancel,
-            || {
-                (
-                    AntichainEnumerator::new(adfg, cfg),
-                    match proto {
-                        Some(p) => p.clone(),
-                        None => LocalTable::new(n, colors, deltas),
-                    },
-                )
-            },
-            |(en, local), &item| match item {
-                WorkItem::Root(root) => en.enumerate_root(root, |a, _| local.record(a)),
-                WorkItem::Singleton(root) => en.enumerate_singleton(root, |a, _| local.record(a)),
-                WorkItem::Branch(root, branch) => {
-                    local.seed_prefix(root);
-                    en.enumerate_branch(root, branch, |a, _| local.record(a));
-                }
-            },
-            |mut a, b| {
-                a.1.merge(b.1);
-                a
-            },
-        )
-        .1
-        .finish()
+        }
+        dfs_fold(adfg, cfg, &colors, &deltas, cancel)
+    }
+
+    /// The DFS fold: visit every antichain with one reusable
+    /// [`AntichainEnumerator`] and classify it into a dense id-indexed
+    /// table — via a transition cache in the common case, via one
+    /// packed-key interner probe on the first sight of a pattern
+    /// extension. [`PatternTable::build`] runs it below its cutover and
+    /// when the state DAG passes its memory budget; public as the baseline
+    /// the table-build benches time the state DAG against. Graphs whose
+    /// colors fall outside the packable alphabet take
+    /// [`PatternTable::build_reference`].
+    pub fn build_dfs(adfg: &AnalyzedDfg, cfg: EnumerateConfig) -> PatternTable {
+        match packed_inputs(adfg) {
+            Some((colors, deltas)) => dfs_fold(adfg, cfg, &colors, &deltas, None),
+            None => Self::build_reference(adfg, cfg),
+        }
+    }
+
+    /// The state-DAG build alone, whatever the cutover would choose, with
+    /// the DAG's size (states, stored edges, working-set bytes); `None`
+    /// when the graph has a colour outside the packable alphabet or the
+    /// DAG does not fit its memory budget. For benches and the
+    /// equivalence tests.
+    ///
+    /// # Panics
+    ///
+    /// As [`PatternTable::build`].
+    pub fn build_state_dag(
+        adfg: &AnalyzedDfg,
+        cfg: EnumerateConfig,
+    ) -> Option<(PatternTable, DagStats)> {
+        let (_, deltas) = packed_inputs(adfg)?;
+        crate::dag::build(adfg, cfg.capacity, cfg.span_limit, &deltas, None).ok()
     }
 
     /// The pre-interner (seed) build path: classify through full
@@ -792,6 +602,26 @@ impl PatternTable {
     pub fn total_antichains(&self) -> u64 {
         self.stats.iter().map(|s| s.antichain_count).sum()
     }
+}
+
+/// The DFS fold behind [`PatternTable::build_dfs`], polling `cancel`
+/// between enumeration roots.
+fn dfs_fold(
+    adfg: &AnalyzedDfg,
+    cfg: EnumerateConfig,
+    colors: &[u8],
+    deltas: &[u128],
+    cancel: Option<&CancelToken>,
+) -> PatternTable {
+    let mut en = AntichainEnumerator::new(adfg, cfg);
+    let mut local = LocalTable::new(adfg.len(), colors, deltas);
+    for root in adfg.dfg().node_ids() {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            break;
+        }
+        en.enumerate_root(root, |a, _| local.record(a));
+    }
+    local.finish()
 }
 
 /// The color bag of an antichain.
@@ -1123,8 +953,7 @@ mod tests {
     }
 
     /// A skewed graph: a hub (node 0, parallel to everything) over two
-    /// mutually-sequential chains, so the hub owns a disproportionate
-    /// share of the enumeration and *must* be split under the planner.
+    /// mutually-sequential chains, so the hub owns most of the DFS tree.
     fn skewed() -> AnalyzedDfg {
         let mut b = DfgBuilder::new();
         let _hub = b.add_node("hub", c('c'));
@@ -1144,179 +973,112 @@ mod tests {
     }
 
     #[test]
-    fn split_build_matches_reference_across_worker_counts() {
+    fn build_matches_reference_on_skewed_graph() {
         for adfg in [fig4(), skewed()] {
             for span_limit in [None, Some(0), Some(1)] {
+                for parallel in [false, true] {
+                    let cfg = EnumerateConfig {
+                        span_limit,
+                        parallel,
+                        ..cfg_seq()
+                    };
+                    assert_all_paths_match(
+                        &adfg,
+                        cfg,
+                        &format!("span={span_limit:?} parallel={parallel}"),
+                    );
+                }
+            }
+        }
+    }
+
+    /// `n` isolated nodes of one color.
+    fn isolated(n: usize, color: char) -> AnalyzedDfg {
+        let mut b = DfgBuilder::new();
+        for i in 0..n {
+            b.add_node(format!("n{i}"), c(color));
+        }
+        AnalyzedDfg::new(b.build().unwrap())
+    }
+
+    fn cfg_cap(capacity: usize) -> EnumerateConfig {
+        EnumerateConfig {
+            capacity,
+            ..cfg_seq()
+        }
+    }
+
+    /// Every build path against the reference oracle.
+    fn assert_all_paths_match(adfg: &AnalyzedDfg, cfg: EnumerateConfig, what: &str) {
+        let reference = PatternTable::build_reference(adfg, cfg);
+        let (dag, _) = PatternTable::build_state_dag(adfg, cfg).expect("fits the budget");
+        assert_tables_equal(&dag, &reference, &format!("{what}: state DAG"));
+        assert_tables_equal(&PatternTable::build(adfg, cfg), &reference, what);
+        assert_tables_equal(
+            &PatternTable::build_dfs(adfg, cfg),
+            &reference,
+            &format!("{what}: DFS fold"),
+        );
+    }
+
+    /// 16 slots of one color overflow its key nibble: the carry into the
+    /// next color (`a`) or into the size field (`z`) must come out of the
+    /// state DAG's bag arithmetic exactly as out of the DFS's key adds.
+    #[test]
+    fn packed_key_carries_match_reference() {
+        for color in ['a', 'z'] {
+            let adfg = isolated(16, color);
+            assert_all_paths_match(&adfg, cfg_cap(16), &format!("16 x {color}"));
+            let table = PatternTable::build(&adfg, cfg_cap(16));
+            let full = Pattern::from_colors(std::iter::repeat_n(c(color), 16));
+            assert_eq!(table.get(&full).unwrap().antichain_count, 1);
+        }
+    }
+
+    /// A capacity above the graph's width changes nothing past the width.
+    #[test]
+    fn capacity_above_width_matches_reference() {
+        let adfg = fig4();
+        for capacity in [3usize, 8, 16] {
+            for span_limit in [None, Some(0), Some(2)] {
                 let cfg = EnumerateConfig {
-                    capacity: 5,
                     span_limit,
-                    parallel: false,
+                    ..cfg_cap(capacity)
                 };
-                let reference = PatternTable::build_reference(&adfg, cfg);
-                for workers in [1usize, 2, 3, 8] {
-                    let split = PatternTable::build_with_workers(&adfg, cfg, workers);
-                    assert_tables_equal(
-                        &split,
-                        &reference,
-                        &format!("split workers={workers} span={span_limit:?}"),
-                    );
-                    let granular = PatternTable::build_root_granular(&adfg, cfg, workers);
-                    assert_tables_equal(
-                        &granular,
-                        &reference,
-                        &format!("root-granular workers={workers} span={span_limit:?}"),
-                    );
-                }
+                assert_all_paths_match(&adfg, cfg, &format!("C{capacity} span {span_limit:?}"));
             }
         }
+        assert_tables_equal(
+            &PatternTable::build(&adfg, cfg_cap(16)),
+            &PatternTable::build(&adfg, cfg_cap(3)),
+            "width 2: C16 = C3",
+        );
     }
 
+    /// The state DAG reaches counts no DFS could visit: C(128, 16) ≈
+    /// 9.3·10¹⁹ antichains pass `u64::MAX`, and the build must say so
+    /// instead of returning a wrapped table.
     #[test]
-    fn planner_splits_the_hub_and_only_the_hub() {
-        let adfg = skewed();
-        let cfg = cfg_seq();
-        let hub = adfg.dfg().find("hub").unwrap();
-        // Second-order weights: the hub has 16 branches, and each x-branch
-        // opens the 8 y-nodes at depth 2 → 16 + 8×8 = 80. Each x-root has
-        // the 8 y-branches, all leaves at depth 2 → 8; y-roots weigh 0.
-        // Total 144; at 2 workers the threshold is 144/(2×4) = 18, so
-        // exactly the hub splits.
-        let plan = plan_work_items(&adfg, cfg, 2);
-        assert_eq!(plan.weights[hub.index()], 80);
-        assert_eq!(plan.total_estimate, adfg.len() + 144);
-        assert_eq!(plan.heavy.len(), 16);
-        assert!(plan
-            .heavy
-            .iter()
-            .all(|i| matches!(i, WorkItem::Branch(r, _) if *r == hub)));
-        // Light list: the hub's singleton + every unsplit root, exactly
-        // one item per root overall.
-        assert_eq!(plan.light.len(), adfg.len());
+    #[should_panic(
+        expected = "pattern table overflow: a count passed 2^64 - 1 (128 nodes, capacity 16)"
+    )]
+    fn overflowing_counts_panic() {
+        PatternTable::build(&isolated(128, 'a'), cfg_cap(16));
+    }
+
+    /// A pre-fired token stops the build before it starts, however large.
+    #[test]
+    fn prefired_token_returns_before_building() {
+        use mps_par::{CancelKind, CancelToken};
+        let adfg = isolated(64, 'a');
+        let cancelled = CancelToken::new();
+        cancelled.cancel();
+        let t0 = std::time::Instant::now();
         assert_eq!(
-            plan.light
-                .iter()
-                .filter(|i| matches!(i, WorkItem::Singleton(r) if *r == hub))
-                .count(),
-            1
+            PatternTable::build_with_cancel(&adfg, cfg_cap(6), &cancelled).unwrap_err(),
+            CancelKind::Cancelled
         );
-        assert!(plan
-            .light
-            .iter()
-            .all(|i| !matches!(i, WorkItem::Branch(_, _))));
-        // More workers lower the threshold below the x-roots' weight (8),
-        // but their branches are all depth-2 leaves (weight = branch
-        // count), so the subtree gate keeps them whole: only the hub — the
-        // one root whose branches carry real subtrees — ever splits.
-        let plan8 = plan_work_items(&adfg, cfg, 8);
-        assert_eq!(plan8.heavy.len(), 16, "still only the hub's branches");
-        // One worker: nothing splits, every root is a light unit.
-        let plan1 = plan_work_items(&adfg, cfg, 1);
-        assert!(plan1.heavy.is_empty());
-        assert_eq!(plan1.light.len(), adfg.len());
-        assert!(plan1.light.iter().all(|i| matches!(i, WorkItem::Root(_))));
-        // Capacity 1: trees are bare singletons — nothing to split.
-        let cap1 = EnumerateConfig { capacity: 1, ..cfg };
-        assert!(plan_work_items(&adfg, cap1, 8).heavy.is_empty());
-    }
-
-    /// A broom-shaped hub (many branches, every one a depth-2 leaf) must
-    /// never split: its second-order weight equals its branch count, so
-    /// the average split unit would be a single visit — all bookkeeping,
-    /// no distributable work. This is the `BENCH_3.json` `broom512`
-    /// regression, pinned at planner level.
-    #[test]
-    fn broom_hubs_never_split() {
-        let mut b = DfgBuilder::new();
-        let _hub = b.add_node("hub", c('c'));
-        let chain: Vec<_> = (0..40)
-            .map(|i| b.add_node(format!("c{i}"), c('a')))
-            .collect();
-        for w in chain.windows(2) {
-            b.add_edge(w[0], w[1]).unwrap();
-        }
-        let adfg = AnalyzedDfg::new(b.build().unwrap());
-        let hub = adfg.dfg().find("hub").unwrap();
-        for workers in [2usize, 4, 64] {
-            let plan = plan_work_items(&adfg, cfg_seq(), workers);
-            assert!(plan.heavy.is_empty(), "workers={workers}");
-            assert_eq!(plan.weights[hub.index()], 40, "all branches are leaves");
-        }
-        // The whole build is also below the parallel floor, so the split
-        // build path runs it sequentially outright.
-        assert!(plan_work_items(&adfg, cfg_seq(), 2).total_estimate < MIN_PARALLEL_ESTIMATE);
-    }
-
-    /// The warm-up prototype interns the hot transitions with zero counts
-    /// — and warmed builds stay bit-identical to the reference (the dense
-    /// graph here is over the parallel floor, so `build_with_workers`
-    /// really takes the warmed split path).
-    #[test]
-    fn warm_prototype_is_countless_and_build_stays_exact() {
-        // A hub over 32 mutually parallel leaves: estimate 528 (hub) +
-        // 5 456 (leaf roots) + 34 singletons ≫ the floor.
-        let mut b = DfgBuilder::new();
-        let _hub = b.add_node("hub", c('c'));
-        for i in 0..32 {
-            b.add_node(format!("leaf{i}"), if i % 2 == 0 { c('a') } else { c('b') });
-        }
-        let adfg = AnalyzedDfg::new(b.build().unwrap());
-        let cfg = cfg_seq();
-        let plan = plan_work_items(&adfg, cfg, 4);
-        assert!(plan.total_estimate >= MIN_PARALLEL_ESTIMATE);
-        let (colors, deltas) = packed_inputs(&adfg).unwrap();
-        let proto = warm_prototype(&adfg, cfg, &colors, &deltas, &plan.weights);
-        assert!(
-            proto.interner.keys().len() >= 3,
-            "singletons a, b, c at minimum"
-        );
-        assert!(
-            proto.counts.iter().all(|&c| c == 0),
-            "warm-up counts nothing"
-        );
-        assert!(proto.freqs.iter().all(|&f| f == 0));
-        let reference = PatternTable::build_reference(&adfg, cfg);
-        for workers in [2usize, 4] {
-            let warmed = PatternTable::build_with_workers(&adfg, cfg, workers);
-            assert_tables_equal(&warmed, &reference, &format!("warmed workers={workers}"));
-        }
-    }
-
-    /// The deterministic form of the "split beats root-granular with ≥ 2
-    /// threads" claim: on the skewed graph, the heaviest work unit after
-    /// splitting is less than half the heaviest root-granular unit (the
-    /// hub's whole tree), so 2 workers can actually divide the hub's
-    /// volume. Wall-clock confirmation lives in the `bench_skew` bench,
-    /// where the machine has real cores.
-    #[test]
-    fn splitting_halves_the_heaviest_work_unit() {
-        let adfg = skewed();
-        let cfg = cfg_seq();
-        let mut en = AntichainEnumerator::new(&adfg, cfg);
-        let unit_visits = |en: &mut AntichainEnumerator<'_>, item: &WorkItem| {
-            let mut n = 0u64;
-            match *item {
-                WorkItem::Root(r) => en.enumerate_root(r, |_, _| n += 1),
-                WorkItem::Singleton(r) => en.enumerate_singleton(r, |_, _| n += 1),
-                WorkItem::Branch(r, b) => {
-                    en.enumerate_branch(r, b, |_, _| n += 1);
-                }
-            }
-            n
-        };
-        let roots: Vec<WorkItem> = adfg.dfg().node_ids().map(WorkItem::Root).collect();
-        let heaviest_root = roots.iter().map(|i| unit_visits(&mut en, i)).max().unwrap();
-        let plan = plan_work_items(&adfg, cfg, 2);
-        let heaviest_split = plan
-            .heavy
-            .iter()
-            .chain(plan.light.iter())
-            .map(|i| unit_visits(&mut en, i))
-            .max()
-            .unwrap();
-        assert!(
-            heaviest_split * 2 < heaviest_root,
-            "split max {heaviest_split} vs root max {heaviest_root}"
-        );
+        assert!(t0.elapsed() < std::time::Duration::from_millis(50));
     }
 
     #[test]

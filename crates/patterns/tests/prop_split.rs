@@ -1,12 +1,10 @@
-//! Property tests for depth-1 branch splitting: on random DAGs and random
+//! Property test for depth-1 branch splitting: on random DAGs and random
 //! span limits, splitting any root's enumeration across its depth-1
 //! branches yields the exact multiset of (antichain, span) pairs produced
-//! by the unsplit DFS — and the split parallel table build stays
-//! bit-identical to the [`PatternTable::build_reference`] oracle for
-//! capacities {1, 2, 4, 8} in both execution shapes.
+//! by the unsplit DFS, for capacities {1, 2, 4, 8}.
 
 use mps_dfg::{AnalyzedDfg, Antichain};
-use mps_patterns::{for_each_depth1_branch, AntichainEnumerator, EnumerateConfig, PatternTable};
+use mps_patterns::{for_each_depth1_branch, AntichainEnumerator, EnumerateConfig};
 use proptest::prelude::*;
 
 mod common;
@@ -19,23 +17,6 @@ fn build_dag(n: usize, colors: &[u8], edges: &[bool]) -> AnalyzedDfg {
 
 fn keyed(a: &Antichain, s: u32) -> (Vec<u32>, u32) {
     (a.iter().map(|n| n.0).collect(), s)
-}
-
-fn assert_tables_equal(a: &PatternTable, b: &PatternTable, what: &str) {
-    assert_eq!(a.len(), b.len(), "{what}: pattern count");
-    for (sa, sb) in a.iter().zip(b.iter()) {
-        assert_eq!(sa.pattern, sb.pattern, "{what}: pattern order");
-        assert_eq!(
-            sa.antichain_count, sb.antichain_count,
-            "{what}: count of {}",
-            sa.pattern
-        );
-        assert_eq!(
-            sa.node_freq, sb.node_freq,
-            "{what}: freqs of {}",
-            sa.pattern
-        );
-    }
 }
 
 proptest! {
@@ -72,32 +53,6 @@ proptest! {
                     root,
                     capacity,
                     span_limit
-                );
-            }
-        }
-    }
-
-    /// End to end: the split table build (sequential and with forced
-    /// multi-worker splitting) is bit-identical to the reference oracle.
-    #[test]
-    fn split_table_build_matches_reference(
-        n in 1usize..=MAX_NODES,
-        colors in proptest::collection::vec(0u8..6, MAX_NODES..(MAX_NODES + 1)),
-        edges in proptest::collection::vec(any::<bool>(), (MAX_NODES * MAX_NODES)..(MAX_NODES * MAX_NODES + 1)),
-        span_limit in proptest::option::of(0u32..6),
-    ) {
-        let adfg = build_dag(n, &colors, &edges);
-        for capacity in [1usize, 2, 4, 8] {
-            let cfg = EnumerateConfig { capacity, span_limit, parallel: false };
-            let reference = PatternTable::build_reference(&adfg, cfg);
-            // workers = 1 → sequential; > 1 → split scheduling (the
-            // threshold drops with workers, so 8 splits aggressively).
-            for workers in [1usize, 2, 8] {
-                let table = PatternTable::build_with_workers(&adfg, cfg, workers);
-                assert_tables_equal(
-                    &table,
-                    &reference,
-                    &format!("n={n} capacity={capacity} span={span_limit:?} workers={workers}"),
                 );
             }
         }

@@ -35,13 +35,9 @@ fi
 extract() {
     jq -r '
         [
-          (.rows[]? | {
-              key: "classify/\(.workload)/span=\(.span_limit)",
-              sec: .classify_sec
-          }),
-          (.rows[]? | {
-              key: "classify_parallel/\(.workload)/span=\(.span_limit)",
-              sec: .classify_parallel_sec
+          (.classify_rows[]? | {
+              key: "classify/\(.workload)/C=\(.capacity)/span=\(.span_limit)",
+              sec: .build_sec
           }),
           (.select_rows[]? | {
               key: "select/\(.workload)/\(.strategy)/\(.config // "default")",
@@ -50,10 +46,6 @@ extract() {
           (.select_rows[]? | {
               key: "end_to_end/\(.workload)/\(.strategy)/\(.config // "default")",
               sec: .end_to_end_sec
-          }),
-          (.skew_rows[]? | {
-              key: "skew_split/\(.workload)/workers=\(.workers)",
-              sec: .split_sec
           }),
           (.select_rows[]? | {
               key: "select_reference/\(.workload)/\(.strategy)/\(.config // "default")",

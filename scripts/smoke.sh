@@ -22,9 +22,7 @@ run "$BIN_DIR/mps" list
 run "$BIN_DIR/mps" info fig2
 
 # Skewed stress graphs (pinned counts checked below by `throughput
-# --smoke`): star16/broom64 estimate below the parallel-work floor and pin
-# the sequential fallback, star32 estimates above it and drives the
-# depth-1 branch splitter + warmed split scheduling.
+# --smoke`).
 run "$BIN_DIR/mps" info star16
 run "$BIN_DIR/mps" info star32
 run "$BIN_DIR/mps" info broom64

@@ -283,3 +283,26 @@ proptest! {
         prop_assert!(report.config_loads <= r.cycles);
     }
 }
+
+/// A 5 ms deadline stops a table build that would run for seconds
+/// (fft8 at C 8) well within 50 ms: the state DAG polls its token every
+/// 64 states, not only between enumeration roots.
+#[test]
+fn table_build_deadline_stops_fft8_within_50ms() {
+    use mps::par::{CancelKind, CancelToken};
+    use std::time::{Duration, Instant};
+    let adfg = AnalyzedDfg::new(mps::workloads::by_name("fft8").unwrap());
+    let cfg = EnumerateConfig {
+        capacity: 8,
+        span_limit: None,
+        parallel: false,
+    };
+    let t0 = Instant::now();
+    let token = CancelToken::with_deadline(Duration::from_millis(5));
+    assert_eq!(
+        PatternTable::build_with_cancel(&adfg, cfg, &token).unwrap_err(),
+        CancelKind::DeadlineExceeded
+    );
+    let elapsed = t0.elapsed();
+    assert!(elapsed < Duration::from_millis(50), "took {elapsed:?}");
+}
