@@ -25,18 +25,24 @@
 //! [`ArtifactStore`] is the directory tier: `save_result` writes
 //! temp-then-rename so a kill mid-write can never leave a bad file under
 //! an artifact name, `load_results` sweeps the directory at boot (bad
-//! files counted, not fatal), and `enforce_budget` applies the same
+//! files counted, not fatal), and the budget sweeps apply the same
 //! entry/byte LRU discipline the in-memory caches use, evicting
-//! least-recently-touched files first.
+//! least-recently-written files first. [`ArtifactStore::enforce_budget`]
+//! lists the directory; [`ArtifactStore::enforce_budget_indexed`] works
+//! from an in-memory index read once at [`ArtifactStore::open`] and kept
+//! current by every save, so a save-then-evict never lists the directory.
 
 use crate::json;
 use crate::session::{CompileResult, TableKey};
 use mps_patterns::PatternTable;
 use serde::Value;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+use std::time::SystemTime;
 
 /// Version of the artifact envelope and payload encoding. Bump on any
 /// change to either; readers reject every other version.
@@ -333,17 +339,123 @@ pub struct TableLoadReport {
 /// renamed onto the wrong key is caught at load. Writes go through a
 /// same-directory temp file and an atomic rename; leftover `*.tmp-*`
 /// files from a killed writer are swept out at the next boot.
+///
+/// The store also keeps an in-memory **budget index**: the size and
+/// mtime of every `cr-`/`pt-` file, read from one directory listing at
+/// [`ArtifactStore::open`] and updated with one stat of the file each
+/// save writes. [`ArtifactStore::enforce_budget_indexed`] picks victims
+/// from it in the listing sweep's order, so keeping a directory inside
+/// its budget costs nothing per save beyond the save itself. Clones share
+/// the index.
+///
+/// The index sees only this process's saves. A directory that two live
+/// daemons share can overshoot its budget by the other daemon's writes
+/// until the next boot re-reads the directory; files the other daemon
+/// deleted or republished are found by the re-stat before each delete.
+///
+/// A serving layer that saves *after* replying (write-behind) trades a
+/// small durability window for latency: a `kill -9` between the reply
+/// and the save loses that one artifact, and the next boot recompiles
+/// it. The temp-then-rename discipline still means no kill ever leaves a
+/// torn file under an artifact name.
 #[derive(Clone, Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
+    index: Arc<Mutex<BudgetIndex>>,
+}
+
+/// Every `cr-`/`pt-` file of a store's directory, as last stat'ed, in
+/// eviction order.
+#[derive(Debug, Default)]
+struct BudgetIndex {
+    /// Victim order — oldest mtime first, ties broken by file name — with
+    /// each file's length.
+    order: BTreeMap<(SystemTime, String), u64>,
+    /// File name → the mtime it is filed under in `order`.
+    mtimes: HashMap<String, SystemTime>,
+    /// Sum of the lengths in `order`.
+    bytes: u64,
+}
+
+impl BudgetIndex {
+    /// File `name` (again) under a fresh stat.
+    fn insert(&mut self, name: String, len: u64, modified: SystemTime) {
+        self.remove(&name);
+        self.mtimes.insert(name.clone(), modified);
+        self.order.insert((modified, name), len);
+        self.bytes += len;
+    }
+
+    /// Forget `name`, if it is filed.
+    fn remove(&mut self, name: &str) {
+        if let Some(modified) = self.mtimes.remove(name) {
+            let len = self
+                .order
+                .remove(&(modified, name.to_string()))
+                .unwrap_or(0);
+            self.bytes -= len;
+        }
+    }
+}
+
+/// What re-stat-then-delete did with one eviction candidate.
+enum Eviction {
+    /// The file was deleted.
+    Deleted,
+    /// The file's mtime changed since it was listed or indexed: a writer
+    /// republished it, so it was kept. Carries the fresh length and mtime.
+    Republished(u64, SystemTime),
+    /// The file was already gone (or could not be deleted).
+    Gone,
+}
+
+/// Delete `path` unless its mtime moved off `seen`. The re-stat guards
+/// against deleting a file a concurrent save just renamed into place.
+fn evict_if_unchanged(path: &Path, seen: SystemTime) -> Eviction {
+    let Ok(meta) = fs::metadata(path) else {
+        return Eviction::Gone;
+    };
+    let modified = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
+    if modified != seen {
+        return Eviction::Republished(meta.len(), modified);
+    }
+    match fs::remove_file(path) {
+        Ok(()) => Eviction::Deleted,
+        Err(_) => Eviction::Gone,
+    }
+}
+
+/// List the `cr-`/`pt-` files of `dir` as `(name, length, mtime)`.
+fn list_keyed(dir: &Path) -> io::Result<Vec<(String, u64, SystemTime)>> {
+    let mut files = Vec::new();
+    for entry in fs::read_dir(dir)?.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if parse_keyed_name("cr-", name).is_none() && parse_keyed_name("pt-", name).is_none() {
+            continue;
+        }
+        if let Ok(meta) = entry.metadata() {
+            let modified = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
+            files.push((name.to_string(), meta.len(), modified));
+        }
+    }
+    Ok(files)
 }
 
 impl ArtifactStore {
-    /// Open (creating if needed) the store at `dir`.
+    /// Open (creating if needed) the store at `dir`, reading the
+    /// directory once to build the budget index.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<ArtifactStore> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(ArtifactStore { dir })
+        let mut index = BudgetIndex::default();
+        for (name, len, modified) in list_keyed(&dir)? {
+            index.insert(name, len, modified);
+        }
+        Ok(ArtifactStore {
+            dir,
+            index: Arc::new(Mutex::new(index)),
+        })
     }
 
     /// The directory backing this store.
@@ -388,9 +500,12 @@ impl ArtifactStore {
     }
 
     /// Write `text` to `<stem>.json` via a same-directory temp file and
-    /// an atomic rename.
+    /// an atomic rename, then file the result in the budget index. The
+    /// rename and the stat happen under the index lock, so an indexed
+    /// eviction in this process never deletes a file mid-publish.
     fn save_line(&self, stem: &str, text: &str) -> io::Result<PathBuf> {
-        let path = self.dir.join(format!("{stem}.json"));
+        let name = format!("{stem}.json");
+        let path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{stem}.tmp-{}", std::process::id()));
         {
             let mut f = fs::File::create(&tmp)?;
@@ -398,13 +513,22 @@ impl ArtifactStore {
             f.write_all(b"\n")?;
             f.sync_all()?;
         }
-        match fs::rename(&tmp, &path) {
-            Ok(()) => Ok(path),
-            Err(e) => {
-                let _ = fs::remove_file(&tmp);
-                Err(e)
-            }
+        let mut index = self.index.lock().expect("budget index poisoned");
+        if let Err(e) = fs::rename(&tmp, &path) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
         }
+        // A listing sweep in another thread may already have deleted the
+        // file; then there is nothing to index.
+        match fs::metadata(&path) {
+            Ok(meta) => index.insert(
+                name,
+                meta.len(),
+                meta.modified().unwrap_or(std::time::UNIX_EPOCH),
+            ),
+            Err(_) => index.remove(&name),
+        }
+        Ok(path)
     }
 
     /// Sweep the directory: decode every `cr-*.json`, verifying the
@@ -485,6 +609,10 @@ impl ArtifactStore {
     /// concurrent writer — it is skipped, never deleted out from under
     /// its publisher. Returns how many files were evicted. With neither
     /// bound set nothing can be evicted, so the directory is not read.
+    ///
+    /// This sweep lists and stats the whole directory; a store that only
+    /// needs to stay inside its budget after its own saves should call
+    /// [`Self::enforce_budget_indexed`], which picks the same victims.
     pub fn enforce_budget(
         &self,
         max_entries: Option<usize>,
@@ -493,45 +621,64 @@ impl ArtifactStore {
         if max_entries.is_none() && max_bytes.is_none() {
             return Ok(0);
         }
-        let mut files: Vec<(PathBuf, u64, std::time::SystemTime)> = Vec::new();
-        for entry in fs::read_dir(&self.dir)?.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if parse_keyed_name("cr-", name).is_none() && parse_keyed_name("pt-", name).is_none() {
-                continue;
-            }
-            if let Ok(meta) = entry.metadata() {
-                let modified = meta.modified().unwrap_or(std::time::UNIX_EPOCH);
-                files.push((entry.path(), meta.len(), modified));
-            }
-        }
+        let mut files = list_keyed(&self.dir)?;
         files.sort_by(|a, b| a.2.cmp(&b.2).then_with(|| a.0.cmp(&b.0)));
         let mut total: u64 = files.iter().map(|(_, len, _)| len).sum();
         let mut count = files.len();
         let mut evicted = 0;
-        for (path, len, listed_mtime) in files {
+        for (name, len, listed_mtime) in files {
             let over_entries = max_entries.is_some_and(|m| count > m);
             let over_bytes = max_bytes.is_some_and(|m| total > m as u64);
             if !over_entries && !over_bytes {
                 break;
             }
-            // Re-stat: a concurrent save may have renamed fresh content
-            // onto this path since the listing. Deleting it would throw
-            // away a just-published artifact, so skip it this sweep.
-            let republished = fs::metadata(&path)
-                .and_then(|m| m.modified())
-                .map(|m| m != listed_mtime)
-                .unwrap_or(true);
-            if republished {
-                continue;
-            }
-            if fs::remove_file(&path).is_ok() {
+            if let Eviction::Deleted = evict_if_unchanged(&self.dir.join(name), listed_mtime) {
                 evicted += 1;
                 count -= 1;
                 total -= len;
             }
         }
         Ok(evicted)
+    }
+
+    /// [`Self::enforce_budget`] from the budget index instead of a
+    /// directory listing: same bounds, same victim order (oldest mtime
+    /// first, ties by file name), same re-stat before every delete. A
+    /// victim republished since it was indexed is re-filed under its new
+    /// mtime and kept for this call; one already gone is dropped from the
+    /// index. Returns how many files were evicted.
+    pub fn enforce_budget_indexed(
+        &self,
+        max_entries: Option<usize>,
+        max_bytes: Option<usize>,
+    ) -> usize {
+        let over = |count: usize, bytes: u64| {
+            max_entries.is_some_and(|m| count > m) || max_bytes.is_some_and(|m| bytes > m as u64)
+        };
+        let mut index = self.index.lock().expect("budget index poisoned");
+        // Kept files are out of the index until the end, but still on
+        // disk: they count against the budget.
+        let (mut kept, mut kept_bytes) = (Vec::new(), 0);
+        let mut evicted = 0;
+        while over(index.order.len() + kept.len(), index.bytes + kept_bytes) {
+            let Some(((modified, name), len)) = index.order.pop_first() else {
+                break;
+            };
+            index.mtimes.remove(&name);
+            index.bytes -= len;
+            match evict_if_unchanged(&self.dir.join(&name), modified) {
+                Eviction::Deleted => evicted += 1,
+                Eviction::Gone => {}
+                Eviction::Republished(len, modified) => {
+                    kept_bytes += len;
+                    kept.push((name, len, modified));
+                }
+            }
+        }
+        for (name, len, modified) in kept {
+            index.insert(name, len, modified);
+        }
+        evicted
     }
 }
 

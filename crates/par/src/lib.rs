@@ -14,11 +14,6 @@
 //! * [`par_fold`] — per-worker local accumulators merged once at the end,
 //!   so reductions combine `T` thread-locals instead of one partial per
 //!   item (the Table 5 span histogram).
-//! * [`par_fold_irregular`] — the same fold over a pre-classified
-//!   heavy/light item list: heavy items claimed one at a time and drained
-//!   first, light items chunked. Built for skewed workloads (a few
-//!   expensive items among thousands of trivial ones) where uniform
-//!   chunking would lump several expensive items into one claim.
 //! * [`par_reduce`] — parallel map + associative fold,
 //! * [`par_for_each`] — side-effecting variant,
 //! * [`parallelism`] — thread-count heuristic honouring `MPS_THREADS`,
@@ -27,9 +22,8 @@
 //!   drain-on-close for consumers; [`BoundedQueue::try_push`] for
 //!   shed-instead-of-block admission),
 //! * [`CancelToken`] — a cooperative stop flag with an optional deadline,
-//!   polled by [`par_fold_irregular_cancel_in`]'s claim loops and by the
-//!   pattern-table build, so cancelled work stops instead of running to
-//!   completion.
+//!   polled by the pattern-table build, so cancelled work stops instead
+//!   of running to completion.
 //!
 //! All entry points fall back to straight sequential execution when the input
 //! is small or only one hardware thread is available, so callers never pay
@@ -203,164 +197,6 @@ where
                             break;
                         }
                         for item in &items[start..(start + chunk).min(items.len())] {
-                            fold(&mut acc, item);
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(acc) => acc,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-    .expect("worker thread panicked");
-    locals
-        .into_iter()
-        .reduce(merge)
-        .expect("at least one worker ran")
-}
-
-/// Claim granularities used by [`par_fold_irregular`] for a mixed
-/// heavy/light work-item list: `(heavy_claim, light_chunk)`.
-///
-/// Heavy items are always claimed **one at a time** — any of them may be
-/// orders of magnitude more expensive than the rest (an enumeration
-/// root's depth-1 branch over a hub node), so batching two into one claim
-/// can serialize half the useful work onto one worker. Light items reuse
-/// the [`par_fold`] chunk policy (`len / (workers × 8)`, clamped to
-/// `1..=1024`): they are individually cheap, so the goal is amortizing
-/// counter traffic, not balance.
-pub fn irregular_claim_sizes(heavy_len: usize, light_len: usize, workers: usize) -> (usize, usize) {
-    let _ = heavy_len; // granularity 1 regardless of how many heavy items
-    (1, chunk_size(light_len, workers))
-}
-
-/// [`par_fold`] over an irregular, pre-classified work-item list.
-///
-/// `heavy` holds the items whose individual cost may dominate a whole
-/// chunk (e.g. the per-branch units a skewed enumeration root was split
-/// into); `light` holds everything else. Workers drain `heavy` first,
-/// claiming **one item per trip** to its shared counter, then fall
-/// through to `light`, claimed in [`par_fold`]-sized chunks (see
-/// [`irregular_claim_sizes`]). Draining heavy first is the classic
-/// longest-processing-time heuristic: the expensive items land while
-/// every worker is still busy, and the cheap tail backfills the stragglers.
-///
-/// The accumulator contract is exactly [`par_fold`]'s: which items land in
-/// which accumulator depends on scheduling, so `fold`/`merge` must be
-/// insensitive to grouping and order, and `make` must return a neutral
-/// accumulator. Under that contract the result is deterministic across
-/// runs and worker counts.
-pub fn par_fold_irregular<T, A, M, F, R>(heavy: &[T], light: &[T], make: M, fold: F, merge: R) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn() -> A + Sync,
-    F: Fn(&mut A, &T) + Sync,
-    R: Fn(A, A) -> A,
-{
-    par_fold_irregular_in(parallelism(), heavy, light, make, fold, merge)
-}
-
-/// [`par_fold_irregular`] with an explicit worker count.
-///
-/// `workers` is clamped to the item count; `0` and `1` both mean
-/// sequential execution (heavy items first, then light, in slice order).
-/// Exposed so tests and benches can pin the thread count without touching
-/// the `MPS_THREADS` environment.
-pub fn par_fold_irregular_in<T, A, M, F, R>(
-    workers: usize,
-    heavy: &[T],
-    light: &[T],
-    make: M,
-    fold: F,
-    merge: R,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn() -> A + Sync,
-    F: Fn(&mut A, &T) + Sync,
-    R: Fn(A, A) -> A,
-{
-    par_fold_irregular_cancel_in(workers, heavy, light, None, make, fold, merge)
-}
-
-/// [`par_fold_irregular_in`] with cooperative cancellation.
-///
-/// When `cancel` is `Some`, every claim trip — one per heavy item, one
-/// per light chunk (and one per item on the sequential path) — polls the
-/// token first and stops claiming once it fires, so workers drain within
-/// one in-flight item of the cancellation instead of running the list to
-/// completion. The merged accumulator is returned either way, but after
-/// a cancellation it covers only the items folded before the token
-/// fired: **callers must treat the result as garbage whenever
-/// `cancel.is_cancelled()` holds afterwards**. Because the token is
-/// sticky, that single post-hoc check subsumes every per-claim poll a
-/// worker might have raced past.
-pub fn par_fold_irregular_cancel_in<T, A, M, F, R>(
-    workers: usize,
-    heavy: &[T],
-    light: &[T],
-    cancel: Option<&CancelToken>,
-    make: M,
-    fold: F,
-    merge: R,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn() -> A + Sync,
-    F: Fn(&mut A, &T) + Sync,
-    R: Fn(A, A) -> A,
-{
-    let fired = || cancel.is_some_and(|t| t.is_cancelled());
-    let len = heavy.len() + light.len();
-    let workers = workers.min(len.max(1));
-    if workers <= 1 || len < SEQUENTIAL_CUTOFF {
-        let mut acc = make();
-        for item in heavy.iter().chain(light.iter()) {
-            if fired() {
-                break;
-            }
-            fold(&mut acc, item);
-        }
-        return acc;
-    }
-    let (_, light_chunk) = irregular_claim_sizes(heavy.len(), light.len(), workers);
-    let heavy_next = AtomicUsize::new(0);
-    let light_next = AtomicUsize::new(0);
-    let locals: Vec<A> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (heavy_next, light_next, make, fold) = (&heavy_next, &light_next, &make, &fold);
-                let fired = &fired;
-                scope.spawn(move |_| {
-                    let mut acc = make();
-                    loop {
-                        if fired() {
-                            return acc;
-                        }
-                        let i = heavy_next.fetch_add(1, Ordering::Relaxed);
-                        if i >= heavy.len() {
-                            break;
-                        }
-                        fold(&mut acc, &heavy[i]);
-                    }
-                    loop {
-                        if fired() {
-                            return acc;
-                        }
-                        let start = light_next.fetch_add(light_chunk, Ordering::Relaxed);
-                        if start >= light.len() {
-                            break;
-                        }
-                        for item in &light[start..(start + light_chunk).min(light.len())] {
                             fold(&mut acc, item);
                         }
                     }
@@ -573,151 +409,6 @@ mod tests {
         assert_eq!(chunk_size(10_000, 8), 10_000 / (8 * CHUNKS_PER_WORKER));
         // …and huge inputs stay bounded so late rebalancing still happens.
         assert_eq!(chunk_size(100_000_000, 4), MAX_CHUNK);
-    }
-
-    #[test]
-    fn irregular_fold_matches_sequential() {
-        // Sum + histogram accumulator over a mixed heavy/light list must be
-        // independent of worker count and of the heavy/light boundary.
-        let heavy: Vec<u64> = (0..5).map(|i| 1_000_000 + i).collect();
-        let light: Vec<u64> = (0..4000).collect();
-        let expect_sum: u64 = heavy.iter().chain(light.iter()).sum();
-        for workers in [0usize, 1, 2, 3, 8, 32] {
-            let (sum, hist) = par_fold_irregular_in(
-                workers,
-                &heavy,
-                &light,
-                || (0u64, [0u64; 5]),
-                |acc, &x| {
-                    acc.0 += x;
-                    acc.1[(x % 5) as usize] += 1;
-                },
-                |mut a, b| {
-                    a.0 += b.0;
-                    for (d, s) in a.1.iter_mut().zip(b.1.iter()) {
-                        *d += s;
-                    }
-                    a
-                },
-            );
-            assert_eq!(sum, expect_sum, "workers={workers}");
-            assert_eq!(hist.iter().sum::<u64>() as usize, heavy.len() + light.len());
-        }
-    }
-
-    #[test]
-    fn irregular_fold_empty_sections() {
-        let sum = |heavy: &[u64], light: &[u64]| {
-            par_fold_irregular(heavy, light, || 0u64, |a, &x| *a += x, |a, b| a + b)
-        };
-        assert_eq!(sum(&[], &[]), 0);
-        assert_eq!(sum(&[7], &[]), 7);
-        assert_eq!(sum(&[], &[1, 2, 3]), 6);
-        assert_eq!(sum(&[10], &[1, 2]), 13);
-    }
-
-    #[test]
-    fn irregular_claim_policy() {
-        // Heavy items are claimed one at a time no matter how many exist:
-        // any single heavy item may dominate, so batching them risks
-        // serializing half the expensive work onto one worker.
-        for heavy_len in [0usize, 1, 5, 10_000] {
-            for workers in [1usize, 2, 8] {
-                let (h, _) = irregular_claim_sizes(heavy_len, 100, workers);
-                assert_eq!(h, 1, "heavy_len={heavy_len} workers={workers}");
-            }
-        }
-        // The light section reuses the par_fold chunk policy: sized for
-        // counter-traffic amortization, clamped to 1..=MAX_CHUNK.
-        for light_len in [0usize, 1, 10, 1000, 100_000_000] {
-            for workers in [1usize, 2, 8, 64] {
-                let (_, l) = irregular_claim_sizes(3, light_len, workers);
-                assert_eq!(l, chunk_size(light_len, workers));
-                assert!((1..=MAX_CHUNK).contains(&l));
-            }
-        }
-        // The mixed root/branch shape the table builder produces: a few
-        // hundred split branches + a few thousand unsplit roots on 8
-        // workers must keep per-claim batches small enough to rebalance.
-        let (h, l) = irregular_claim_sizes(300, 4000, 8);
-        assert_eq!(h, 1);
-        assert_eq!(l, 4000 / (8 * CHUNKS_PER_WORKER));
-    }
-
-    #[test]
-    fn cancelled_irregular_fold_stops_claiming() {
-        // A token cancelled from inside the fold stops the remaining
-        // items from ever being folded: the accumulator stays well short
-        // of the full sum and the caller can tell by re-checking the
-        // token.
-        use std::sync::atomic::AtomicU64;
-        let light: Vec<u64> = (0..100_000).collect();
-        for workers in [1usize, 4] {
-            let token = CancelToken::new();
-            let folded = AtomicU64::new(0);
-            let tok = &token;
-            par_fold_irregular_cancel_in(
-                workers,
-                &[] as &[u64],
-                &light,
-                Some(tok),
-                || (),
-                |_, _| {
-                    if folded.fetch_add(1, Ordering::Relaxed) == 10 {
-                        tok.cancel();
-                    }
-                },
-                |a, _| a,
-            );
-            assert!(token.is_cancelled());
-            let seen = folded.load(Ordering::Relaxed);
-            // Workers stop at the next claim; in-flight chunks may finish,
-            // but nothing close to the full list runs.
-            assert!(
-                seen < light.len() as u64 / 2,
-                "workers={workers}: folded {seen} items after cancel"
-            );
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_fold_returns_neutral() {
-        let token = CancelToken::new();
-        token.cancel();
-        let heavy: Vec<u64> = (0..5).collect();
-        let light: Vec<u64> = (0..500).collect();
-        for workers in [1usize, 4] {
-            let sum = par_fold_irregular_cancel_in(
-                workers,
-                &heavy,
-                &light,
-                Some(&token),
-                || 0u64,
-                |a, &x| *a += x,
-                |a, b| a + b,
-            );
-            assert_eq!(sum, 0, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn live_token_does_not_change_results() {
-        let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
-        let heavy: Vec<u64> = (0..3).map(|i| 1000 + i).collect();
-        let light: Vec<u64> = (0..777).collect();
-        let expect: u64 = heavy.iter().chain(light.iter()).sum();
-        for workers in [1usize, 2, 8] {
-            let sum = par_fold_irregular_cancel_in(
-                workers,
-                &heavy,
-                &light,
-                Some(&token),
-                || 0u64,
-                |a, &x| *a += x,
-                |a, b| a + b,
-            );
-            assert_eq!(sum, expect, "workers={workers}");
-        }
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! [`BoundedQueue`] is the admission primitive of the serving layer: a
 //! fixed-capacity FIFO whose blocking [`push`](BoundedQueue::push) applies
 //! backpressure to producers (a connection thread admitting a compile
-//! request) while consumers (the dispatcher fanning jobs over
-//! [`crate::par_map_in`] workers) drain it with a blocking
-//! [`pop`](BoundedQueue::pop). [`close`](BoundedQueue::close) initiates a
+//! request) while consumers (the server's long-lived compile workers)
+//! drain it with a blocking [`pop`](BoundedQueue::pop). [`close`](BoundedQueue::close) initiates a
 //! clean drain: producers are refused from then on, consumers keep
 //! popping until the queue is empty, and only then do they observe
 //! `None` — the shape a daemon needs to finish in-flight work on

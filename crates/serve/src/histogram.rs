@@ -102,9 +102,10 @@ pub struct Quantiles {
     pub p99_sec: f64,
 }
 
-/// The serving process's per-stage histogram set: end-to-end request
-/// latency plus the three interesting compile stages, each aggregated
-/// from [`mps::StageMetrics`] of actual (non-cached) compiles.
+/// The serving process's histogram set: end-to-end request latency,
+/// admission-queue wait and persistence lag, plus the three interesting
+/// compile stages, each aggregated from [`mps::StageMetrics`] of actual
+/// (non-cached) compiles.
 #[derive(Debug, Default)]
 pub struct StageHistograms {
     /// End-to-end compile-request latency (cache hits included — that is
@@ -115,6 +116,11 @@ pub struct StageHistograms {
     /// under warm-hit-heavy traffic the total histogram's p50 collapses
     /// to microseconds and would tell shed clients to retry immediately.
     pub accepted: LatencyHistogram,
+    /// Admission-queue wait: admitted → dequeued by a worker.
+    pub queue_wait: LatencyHistogram,
+    /// Write-behind lag: save handed to the persister → file renamed
+    /// into place.
+    pub persist: LatencyHistogram,
     /// Enumeration stage of actual compiles.
     pub enumerate: LatencyHistogram,
     /// Selection stage of actual compiles.

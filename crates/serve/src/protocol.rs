@@ -412,6 +412,14 @@ pub struct LatencyStats {
     /// End-to-end latency of accepted (non-cached) compiles only — the
     /// population the shed `retry_after_ms` hint is derived from.
     pub accepted: Quantiles,
+    /// Admission-queue wait of compile requests: admitted → dequeued by
+    /// a worker.
+    #[serde(default)]
+    pub queue_wait: Quantiles,
+    /// Write-behind persistence lag per saved artifact or table: handed
+    /// to the persister → renamed into place.
+    #[serde(default)]
+    pub persist: Quantiles,
     /// Enumeration stage of actual compiles.
     pub enumerate: Quantiles,
     /// Selection stage of actual compiles.

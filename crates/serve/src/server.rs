@@ -1,5 +1,6 @@
-//! The compile server: bounded admission, worker fan-out, two cache
-//! tiers, and the TCP / stdio front-ends.
+//! The compile server: bounded admission, a per-job worker pool,
+//! write-behind persistence, two cache tiers, and the TCP / stdio
+//! front-ends.
 //!
 //! One [`Server`] owns all serving state behind an `Arc`:
 //!
@@ -12,15 +13,28 @@
 //!   **sheds** (structured `overloaded` reply with a retry hint)
 //!   instead of blocking the connection thread, so overload degrades
 //!   into fast refusals rather than pile-ups,
-//! * one dispatcher thread that drains the queue in batches and fans
-//!   each batch over [`mps_par::par_map_in`] workers (worker panics are
-//!   contained per request and answered as `internal` errors),
+//! * `workers` long-lived worker threads, each popping one job at a time
+//!   and replying to it on its own, so a cache hit never waits for a
+//!   cold compile admitted beside it and at most `workers` jobs run at
+//!   once (worker panics are contained per request and answered as
+//!   `internal` errors),
+//! * with a `cache_dir`, one persister thread that writes the `cr-`
+//!   results and `pt-` tables to disk *after* the reply, fed through a
+//!   small bounded channel whose sends block when it is full (a save is
+//!   never dropped), and that keeps the directory inside its budget from
+//!   the store's in-memory index ([`ArtifactStore::enforce_budget_indexed`]),
 //! * [`StageHistograms`] + [`mps::SharedStageMetrics`] feeding the
-//!   `stats` reply.
+//!   `stats` reply, including the admission-queue wait and the
+//!   persistence lag.
+//!
+//! `stats` is a persistence barrier: it waits until every save handed
+//! off before it was received is on disk, so `artifacts_persisted` and
+//! `tables_persisted` are exact for every reply a client has already
+//! read. `ping` never waits.
 //!
 //! Requests may carry a `deadline_ms`; the server refuses them at
-//! admission once expired, drops them from the dispatch batch if they
-//! expired in the queue, bounds waits on identical in-flight compiles,
+//! admission once expired, fails them fast if they expired in the
+//! queue, bounds waits on identical in-flight compiles,
 //! and cancels the pipeline itself at stage boundaries via
 //! [`mps::CancelToken`]. Connection hygiene is enforced per connection:
 //! request lines over `max_line_bytes` are refused, a client stalled
@@ -32,11 +46,14 @@
 //! Control verbs (`stats`, `ping`, `peers`, `shutdown`) are answered
 //! inline by the connection thread — they must stay responsive while
 //! the queue is saturated. `shutdown` closes the queue, which gives
-//! clean draining for free: the dispatcher finishes everything already
-//! admitted, then exits; new compiles are refused with an error reply.
-//! The accept loop blocks in `accept`, so `shutdown` also wakes it by
-//! connecting to the listener's own address; idle connection threads
-//! notice the flag on their next read-timeout tick and wind down.
+//! clean draining for free: the workers finish everything already
+//! admitted, then exit; new compiles are refused with an error reply.
+//! Joining the server then stops the persister after it has written
+//! every save handed to it, so a restart warm-loads everything that was
+//! answered. The accept loop blocks in `accept`, so `shutdown` also
+//! wakes it by connecting to the listener's own address; idle
+//! connection threads notice the flag on their next read-timeout tick
+//! and wind down.
 //!
 //! With `peers` configured the server is one member of a **fleet**: a
 //! [`PeerRing`] routes each compile to its rendezvous owner (see
@@ -47,7 +64,9 @@
 //! receiving daemon computes locally (`peer_failovers`) so the client
 //! is answered either way. Forwards, probes and handoffs all travel
 //! pooled persistent connections (`Fleet::round_trip`), so a hit
-//! forwarded to its owner costs one round trip, not a TCP dial.
+//! forwarded to its owner costs one round trip, not a TCP dial. The
+//! prober sleeps on a condition variable until its next round, and
+//! `shutdown` wakes it.
 
 use crate::client::Client;
 use crate::fault::FaultPlan;
@@ -59,10 +78,11 @@ use crate::protocol::{
 };
 use crate::ring::{Owner, PeerRing};
 use mps::artifact::ArtifactStore;
-use mps::par::{par_map_in, BoundedQueue, PushError};
+use mps::par::{BoundedQueue, PushError};
+use mps::patterns::PatternTable;
 use mps::{
     CacheBudget, CancelToken, CompileConfig, CompileResult, Session, SharedStageMetrics,
-    SingleFlightCache, StageProbe, TableCache,
+    SingleFlightCache, StageProbe, TableCache, TableKey,
 };
 use serde::Value;
 use std::collections::HashMap;
@@ -70,15 +90,16 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Serving knobs. The defaults fit the CI smoke test and the integration
 /// suite; a deployment mostly tunes `workers` and the cache budgets.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Compile worker threads per dispatch batch (default: the
-    /// [`mps::par::parallelism`] policy, i.e. `MPS_THREADS` or the
+    /// Long-lived compile worker threads, each serving one admitted job
+    /// at a time, so at most this many compiles run at once (default:
+    /// the [`mps::par::parallelism`] policy, i.e. `MPS_THREADS` or the
     /// machine).
     pub workers: usize,
     /// Admission-queue capacity; pushes beyond it shed (default 64).
@@ -103,8 +124,9 @@ pub struct ServeOptions {
     /// in milliseconds (default 10 000).
     pub read_timeout_ms: u64,
     /// Directory for persistent artifacts (default: none). When set,
-    /// successful compiles are persisted (write-temp-then-rename) and
-    /// surviving artifacts are loaded back at boot, so a restarted
+    /// successful compiles and fresh pattern tables are persisted
+    /// (write-temp-then-rename) by a persister thread after the reply,
+    /// and surviving artifacts are loaded back at boot, so a restarted
     /// server answers previously compiled requests without building a
     /// single table. The disk tier reuses `max_artifacts` /
     /// `max_artifact_bytes` as its entry/byte budgets (file sizes,
@@ -170,6 +192,11 @@ impl Default for ServeOptions {
         }
     }
 }
+
+/// Capacity of the channel from the workers and the table hook to the
+/// persister. A full channel blocks the sender: the bound caps how far
+/// the disk may lag the replies, and no save is ever dropped.
+const PERSIST_CHANNEL: usize = 4;
 
 /// Most artifact pushes parked for an unreachable owner; beyond this
 /// the oldest is dropped (the owner recompiles on demand — handoff is
@@ -307,17 +334,37 @@ enum Forwarded {
 }
 
 /// One admitted compile: the request, its resolution when the fleet path
-/// already made it, its deadline (absolute, fixed at admission) and the
-/// channel its reply line goes back on.
+/// already made it, when it was admitted, its deadline (absolute, fixed
+/// at admission) and the channel its reply line goes back on.
 struct Job {
     req: Request,
     resolved: Option<Resolved>,
+    admitted: Instant,
     deadline: Option<Instant>,
     reply: mpsc::Sender<String>,
 }
 
-/// All serving state, shared between the front-ends, the dispatcher and
-/// the workers.
+/// A write owed to the disk tier.
+enum Save {
+    /// A fresh compile result under its artifact key.
+    Result((u64, u64), Arc<CompileResult>),
+    /// A fresh pattern table under its graph hash and table key.
+    Table(u64, TableKey, Arc<PatternTable>),
+}
+
+/// A message to the persister thread.
+enum Persist {
+    /// Write this, stamped with when it was handed off.
+    Save(Save, Instant),
+    /// Acknowledge once every earlier message is done (the `stats`
+    /// barrier).
+    Flush(mpsc::SyncSender<()>),
+    /// Exit: the workers are joined, nothing more is owed.
+    Stop,
+}
+
+/// All serving state, shared between the front-ends, the workers, the
+/// persister and the prober.
 struct State {
     opts: ServeOptions,
     started: Instant,
@@ -330,6 +377,12 @@ struct State {
     queue: BoundedQueue<Job>,
     /// The persistent artifact tier, present when `cache_dir` is set.
     store: Option<ArtifactStore>,
+    /// Hand-offs to the persister thread, present with `store`.
+    persist: Option<mpsc::SyncSender<Persist>>,
+    /// Held shared by a worker from sending a reply until its save is
+    /// handed off, and taken exclusively by `stats` before it flushes,
+    /// so the barrier also covers saves whose reply is already out.
+    handoff: RwLock<()>,
     /// The fleet, present when `peers` is non-empty.
     fleet: Option<Fleet>,
     requests: AtomicU64,
@@ -342,9 +395,7 @@ struct State {
     artifacts_persisted: AtomicU64,
     load_rejected: AtomicU64,
     tables_loaded: AtomicU64,
-    /// Shared with the table cache's build hook, which outlives no one
-    /// but must not hold the whole `State` (that would cycle the `Arc`).
-    tables_persisted: Arc<AtomicU64>,
+    tables_persisted: AtomicU64,
     peer_forwards: AtomicU64,
     peer_failovers: AtomicU64,
     peer_handoffs: AtomicU64,
@@ -353,6 +404,8 @@ struct State {
     /// fault; not surfaced in stats.
     forward_attempts: AtomicU64,
     shutdown: AtomicBool,
+    /// What the prober sleeps on between rounds; `shutdown` notifies it.
+    prober_sleep: (Mutex<()>, Condvar),
     /// Where `run_tcp` is listening (an unspecified IP mapped to
     /// loopback), so `shutdown` can wake its blocking `accept`.
     listen_addr: Mutex<Option<SocketAddr>>,
@@ -395,9 +448,7 @@ impl State {
             ),
             "stats" => (encode(&self.stats_reply(req.id)), false),
             "shutdown" => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                self.queue.close();
-                self.wake_accept();
+                self.begin_shutdown();
                 self.log_event("shutdown", &[]);
                 (
                     encode(&ShutdownReply {
@@ -423,10 +474,18 @@ impl State {
         }
     }
 
-    /// Wake a `run_tcp` blocked in `accept` so it sees the shutdown flag:
-    /// connect to the listener's own address and hang up. A no-op when no
-    /// TCP front-end is running.
-    fn wake_accept(&self) {
+    /// Raise the shutdown flag, close the queue (the workers drain what
+    /// was admitted), and wake every thread that sleeps until shutdown:
+    /// the prober, and a `run_tcp` blocked in `accept` — by connecting to
+    /// the listener's own address, a no-op when no TCP front-end runs.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue.close();
+        // Pass through the lock before notifying, so a prober between
+        // its flag check and its wait cannot miss the wake-up.
+        let (lock, cvar) = &self.prober_sleep;
+        drop(lock.lock().unwrap_or_else(PoisonError::into_inner));
+        cvar.notify_all();
         let addr = *self.listen_addr.lock().expect("listen address poisoned");
         if let Some(addr) = addr {
             let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
@@ -474,6 +533,7 @@ impl State {
         match self.queue.try_push(Job {
             req,
             resolved,
+            admitted: Instant::now(),
             deadline,
             reply: tx,
         }) {
@@ -493,7 +553,7 @@ impl State {
         match rx.recv() {
             Ok(line) => line,
             Err(_) => {
-                // The dispatcher dropped the job without replying — only
+                // A worker dropped the job without replying — only
                 // possible if it died outright.
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 encode(&ErrorReply::internal(
@@ -840,7 +900,7 @@ impl State {
                 if stored {
                     self.peer_handoffs_received.fetch_add(1, Ordering::Relaxed);
                     // A handed-off artifact is as durable as a local one.
-                    self.persist_artifact(key, &result);
+                    self.hand_off(Save::Result(key, result));
                 }
                 encode(&ArtifactPutReply {
                     ok: true,
@@ -894,43 +954,57 @@ impl State {
         })
     }
 
-    /// Produce the reply for one dequeued job (on a worker thread):
+    /// Serve one dequeued job on a worker thread: reply first, then hand
+    /// a fresh result to the persister, so the client never waits for
+    /// the disk.
+    fn run_job(&self, job: Job) {
+        self.hist
+            .queue_wait
+            .record(job.admitted.elapsed().as_secs_f64());
+        let (line, save) = self.reply_for_job(&job);
+        let _handing_off = self.handoff.read().unwrap_or_else(PoisonError::into_inner);
+        // A receiver gone (client hung up) is not an error.
+        let _ = job.reply.send(line);
+        if let Some(save) = save {
+            self.hand_off(save);
+        }
+    }
+
+    /// Produce the reply for one dequeued job, plus the save it owes:
     /// fast-fail jobs that expired in the queue, contain worker panics
     /// so the client always gets an answer.
-    fn reply_for_job(&self, job: &Job) -> String {
+    fn reply_for_job(&self, job: &Job) -> (String, Option<Save>) {
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
             self.deadline_hits.fetch_add(1, Ordering::Relaxed);
             self.errors.fetch_add(1, Ordering::Relaxed);
-            return encode(&ErrorReply::deadline(
-                "compile",
-                job.req.id,
-                "deadline expired in the admission queue".to_string(),
-            ));
+            let error = "deadline expired in the admission queue".to_string();
+            return (
+                encode(&ErrorReply::deadline("compile", job.req.id, error)),
+                None,
+            );
         }
         let run = std::panic::AssertUnwindSafe(|| {
             self.compile_line(&job.req, job.resolved.as_ref(), job.deadline)
         });
-        match std::panic::catch_unwind(run) {
-            Ok(line) => line,
-            Err(_) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                encode(&ErrorReply::internal(
-                    "compile",
-                    job.req.id,
-                    "compile worker panicked".to_string(),
-                ))
-            }
-        }
+        std::panic::catch_unwind(run).unwrap_or_else(|_| {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            let error = "compile worker panicked".to_string();
+            (
+                encode(&ErrorReply::internal("compile", job.req.id, error)),
+                None,
+            )
+        })
     }
 
-    /// Run one compile request (on a worker thread) and render its reply.
-    /// The request is resolved here unless the fleet path already did.
+    /// Run one compile request (on a worker thread) and render its reply,
+    /// plus the save a fresh result owes the disk tier. The request is
+    /// resolved here unless the fleet path already did.
     fn compile_line(
         &self,
         req: &Request,
         resolved: Option<&Resolved>,
         deadline: Option<Instant>,
-    ) -> String {
+    ) -> (String, Option<Save>) {
         let t0 = Instant::now();
         let local;
         let resolved = match resolved {
@@ -941,7 +1015,7 @@ impl State {
                     Err(reply) => {
                         self.errors.fetch_add(1, Ordering::Relaxed);
                         self.log_compile(req, t0, false, Some(&reply.error));
-                        return encode(&*reply);
+                        return (encode(&*reply), None);
                     }
                 };
                 let cfg = match req.compile_config() {
@@ -949,7 +1023,10 @@ impl State {
                     Err(error) => {
                         self.errors.fetch_add(1, Ordering::Relaxed);
                         self.log_compile(req, t0, false, Some(&error));
-                        return encode(&ErrorReply::protocol("compile", req.id, error));
+                        return (
+                            encode(&ErrorReply::protocol("compile", req.id, error)),
+                            None,
+                        );
                     }
                 };
                 let key = (dfg.content_hash(), cfg.content_hash());
@@ -992,7 +1069,8 @@ impl State {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 let error = "deadline exceeded waiting on an identical in-flight compile";
                 self.log_compile(req, t0, false, Some(error));
-                return encode(&ErrorReply::deadline("compile", req.id, error.to_string()));
+                let reply = encode(&ErrorReply::deadline("compile", req.id, error.to_string()));
+                return (reply, None);
             }
         };
         let latency_sec = t0.elapsed().as_secs_f64();
@@ -1002,11 +1080,8 @@ impl State {
         }
         match outcome {
             Ok(result) => {
-                if !cached {
-                    self.persist_artifact(key, result.as_ref());
-                }
                 self.log_compile(req, t0, cached, None);
-                encode(&CompileReply {
+                let reply = encode(&CompileReply {
                     ok: true,
                     op: "compile".to_string(),
                     id: req.id,
@@ -1030,7 +1105,8 @@ impl State {
                     fabric_tiles: result.fabric.as_ref().map(|m| m.tile_count() as u64),
                     fabric_transfers: result.fabric.as_ref().map(|m| m.transfer_count() as u64),
                     fabric_cycles: result.fabric.as_ref().map(|m| m.total_cycles),
-                })
+                });
+                (reply, (!cached).then_some(Save::Result(key, result)))
             }
             Err(error) => {
                 if matches!(error, mps::MpsError::DeadlineExceeded { .. }) {
@@ -1038,7 +1114,10 @@ impl State {
                 }
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 self.log_compile(req, t0, cached, Some(&error.to_string()));
-                encode(&ErrorReply::pipeline("compile", req.id, &error))
+                (
+                    encode(&ErrorReply::pipeline("compile", req.id, &error)),
+                    None,
+                )
             }
         }
     }
@@ -1091,6 +1170,7 @@ impl State {
     }
 
     fn stats_reply(&self, id: Option<u64>) -> StatsReply {
+        self.flush_persister();
         let m = self.metrics.snapshot();
         StatsReply {
             ok: true,
@@ -1159,6 +1239,8 @@ impl State {
             latency: LatencyStats {
                 total: self.hist.total.snapshot(),
                 accepted: self.hist.accepted.snapshot(),
+                queue_wait: self.hist.queue_wait.snapshot(),
+                persist: self.hist.persist.snapshot(),
                 enumerate: self.hist.enumerate.snapshot(),
                 select: self.hist.select.snapshot(),
                 schedule: self.hist.schedule.snapshot(),
@@ -1166,24 +1248,61 @@ impl State {
         }
     }
 
-    /// Persist one freshly compiled result to the disk tier, if one is
-    /// configured. Persistence failures are logged and otherwise ignored:
-    /// serving must not degrade because the disk is full or read-only.
-    fn persist_artifact(&self, key: (u64, u64), result: &mps::CompileResult) {
-        let Some(store) = &self.store else { return };
-        match store.save_result(key, result) {
-            Ok(_) => {
-                self.artifacts_persisted.fetch_add(1, Ordering::Relaxed);
-                // Keep the disk tier inside the same budgets as the
-                // memory tier; eviction failure is as benign as any
-                // other disk hiccup here.
-                let _ = store.enforce_budget(
-                    self.opts.effective_budget(self.opts.max_artifacts),
-                    self.opts.effective_budget(self.opts.max_artifact_bytes),
-                );
-            }
-            Err(e) => {
-                self.log_event("persist_error", &[("error", Value::Str(e.to_string()))]);
+    /// Hand one save to the persister, if a disk tier is configured.
+    /// Blocks while the channel is full; never drops the save.
+    fn hand_off(&self, save: Save) {
+        if let Some(persist) = &self.persist {
+            // Gone only once the server is joined; nothing is owed then.
+            let _ = persist.send(Persist::Save(save, Instant::now()));
+        }
+    }
+
+    /// The `stats` barrier: wait for every worker between its reply and
+    /// its hand-off, then until the persister has finished everything
+    /// handed to it so far.
+    fn flush_persister(&self) {
+        let Some(persist) = &self.persist else { return };
+        drop(self.handoff.write().unwrap_or_else(PoisonError::into_inner));
+        let (done, flushed) = mpsc::sync_channel(1);
+        if persist.send(Persist::Flush(done)).is_ok() {
+            let _ = flushed.recv();
+        }
+    }
+
+    /// The persister thread's loop: write each save (temp, fsync,
+    /// rename), count it, keep the directory inside its budget from the
+    /// store's index, and answer flushes in order, until `Stop`.
+    /// Persistence failures are logged and otherwise ignored: serving
+    /// must not degrade because the disk is full or read-only.
+    fn persist_loop(&self, store: &ArtifactStore, inbox: mpsc::Receiver<Persist>) {
+        let max_entries = self.opts.effective_budget(self.opts.max_artifacts);
+        let max_bytes = self.opts.effective_budget(self.opts.max_artifact_bytes);
+        for message in inbox {
+            let (save, handed_off) = match message {
+                Persist::Save(save, handed_off) => (save, handed_off),
+                Persist::Flush(done) => {
+                    let _ = done.send(());
+                    continue;
+                }
+                Persist::Stop => break,
+            };
+            let (saved, counter) = match &save {
+                Save::Result(key, result) => {
+                    (store.save_result(*key, result), &self.artifacts_persisted)
+                }
+                Save::Table(graph, key, table) => {
+                    (store.save_table(*graph, key, table), &self.tables_persisted)
+                }
+            };
+            match saved {
+                Ok(_) => {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    self.hist.persist.record(handed_off.elapsed().as_secs_f64());
+                    store.enforce_budget_indexed(max_entries, max_bytes);
+                }
+                Err(e) => {
+                    self.log_event("persist_error", &[("error", Value::Str(e.to_string()))]);
+                }
             }
         }
     }
@@ -1204,20 +1323,23 @@ fn peer_infos(table: &PeerTable) -> Vec<PeerInfo> {
         .collect()
 }
 
-/// A running compile server (dispatcher thread live, front-ends ready).
+/// A running compile server (worker threads live, front-ends ready).
 ///
 /// Drive it with [`Server::run_tcp`] / [`Server::run_stdio`], or call
 /// [`Server::handle_line`] directly for in-process use (tests, benches).
-/// Dropping the server closes the queue and joins the dispatcher.
+/// Dropping the server closes the queue, joins the workers, then stops
+/// and joins the persister once every save handed to it is on disk.
 pub struct Server {
     state: Arc<State>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
+    persister: Option<std::thread::JoinHandle<()>>,
     prober: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Boot a server: allocates the (optionally budgeted) caches and
-    /// starts the dispatcher.
+    /// starts the workers, the persister (with a `cache_dir`) and the
+    /// prober (with peers).
     pub fn new(opts: ServeOptions) -> Server {
         // Fleet-aware budgets: the configured budgets describe the whole
         // corpus, but a ring member only owns ~1/ring of the keys — so
@@ -1268,24 +1390,22 @@ impl Server {
                 }
             }
         }
-        // Persist the table tier as it grows: every fresh table build
-        // lands on disk too, so the *next* boot skips it even for
-        // configs whose whole-compile artifact was never cached.
-        let tables_persisted = Arc::new(AtomicU64::new(0));
-        if let Some(s) = &store {
-            let store = s.clone();
-            let persisted = Arc::clone(&tables_persisted);
-            let (max_entries, max_bytes) = (
-                opts.effective_budget(opts.max_artifacts),
-                opts.effective_budget(opts.max_artifact_bytes),
-            );
-            tables.set_build_hook(Arc::new(move |graph, key, table| {
-                if store.save_table(graph, &key, table).is_ok() {
-                    persisted.fetch_add(1, Ordering::Relaxed);
-                    let _ = store.enforce_budget(max_entries, max_bytes);
-                }
-            }));
-        }
+        // Every save goes through one persister thread. The table tier
+        // persists as it grows: every fresh table build is handed off
+        // too, so the *next* boot skips it even for configs whose
+        // whole-compile artifact was never cached.
+        let (persist, inbox) = match &store {
+            Some(_) => {
+                let (persist, inbox) = mpsc::sync_channel(PERSIST_CHANNEL);
+                let hook_persist = persist.clone();
+                tables.set_build_hook(Arc::new(move |graph, key, table| {
+                    let save = Save::Table(graph, key, Arc::clone(table));
+                    let _ = hook_persist.send(Persist::Save(save, Instant::now()));
+                }));
+                (Some(persist), Some(inbox))
+            }
+            None => (None, None),
+        };
         let fleet = (!opts.peers.is_empty()).then(|| {
             let jitter = SystemTime::now()
                 .duration_since(UNIX_EPOCH)
@@ -1308,6 +1428,8 @@ impl Server {
             hist: StageHistograms::default(),
             queue: BoundedQueue::new(opts.queue),
             store,
+            persist,
+            handoff: RwLock::new(()),
             requests: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -1318,61 +1440,54 @@ impl Server {
             artifacts_persisted: AtomicU64::new(0),
             load_rejected: AtomicU64::new(rejected),
             tables_loaded: AtomicU64::new(tables_seeded),
-            tables_persisted,
+            tables_persisted: AtomicU64::new(0),
             peer_forwards: AtomicU64::new(0),
             peer_failovers: AtomicU64::new(0),
             peer_handoffs: AtomicU64::new(0),
             peer_handoffs_received: AtomicU64::new(0),
             forward_attempts: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            prober_sleep: (Mutex::new(()), Condvar::new()),
             listen_addr: Mutex::new(None),
             log: Mutex::new(None),
             opts,
         });
-        let dispatcher = {
+        let workers = (0..state.opts.workers.max(1))
+            .map(|_| {
+                let state = Arc::clone(&state);
+                std::thread::spawn(move || {
+                    while let Some(job) = state.queue.pop() {
+                        state.run_job(job);
+                    }
+                })
+            })
+            .collect();
+        let persister = inbox.map(|inbox| {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
-                // Drain in batches: one blocking pop, then whatever else
-                // is already queued (bounded so replies keep flowing),
-                // fanned over the worker pool.
-                while let Some(first) = state.queue.pop() {
-                    let mut batch = vec![first];
-                    let cap = state.opts.workers.saturating_mul(2).max(1);
-                    while batch.len() < cap {
-                        match state.queue.try_pop() {
-                            Some(job) => batch.push(job),
-                            None => break,
-                        }
-                    }
-                    let replies =
-                        par_map_in(state.opts.workers, &batch, |job| state.reply_for_job(job));
-                    for (job, line) in batch.iter().zip(replies) {
-                        // A receiver gone (client hung up) is not an error.
-                        let _ = job.reply.send(line);
-                    }
-                }
+                let store = state.store.as_ref().expect("a persister implies a store");
+                state.persist_loop(store, inbox);
             })
-        };
+        });
         // The prober keeps peer health honest while traffic is idle and
         // flushes parked handoffs the moment a dead peer comes back.
         let prober = state.fleet.is_some().then(|| {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
                 let interval = Duration::from_millis(state.opts.probe_interval_ms.max(20));
-                let mut next_round = Instant::now();
-                while !state.shutdown.load(Ordering::SeqCst) {
-                    if Instant::now() >= next_round {
-                        state.probe_peers();
-                        next_round = Instant::now() + interval;
-                    }
-                    // Short ticks so shutdown is noticed promptly.
-                    std::thread::sleep(Duration::from_millis(20));
+                let (lock, cvar) = &state.prober_sleep;
+                let running = || !state.shutdown.load(Ordering::SeqCst);
+                while running() {
+                    state.probe_peers();
+                    let asleep = lock.lock().unwrap_or_else(PoisonError::into_inner);
+                    let _ = cvar.wait_timeout_while(asleep, interval, |_| running());
                 }
             })
         });
         Server {
             state,
-            dispatcher: Some(dispatcher),
+            workers,
+            persister,
             prober,
         }
     }
@@ -1482,16 +1597,24 @@ impl Server {
         Ok(())
     }
 
-    /// Shut down: close the queue (draining admitted compiles) and join
-    /// the dispatcher. Implied by drop; explicit for error visibility.
+    /// Shut down: close the queue (draining admitted compiles), join the
+    /// workers, then let the persister finish every save and join it.
+    /// Implied by drop; explicit for error visibility.
     pub fn finish(mut self) {
         self.shutdown_and_join();
     }
 
     fn shutdown_and_join(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.state.queue.close();
-        if let Some(handle) = self.dispatcher.take() {
+        self.state.begin_shutdown();
+        for handle in self.workers.drain(..) {
+            let _ = handle.join();
+        }
+        // The table hook keeps a sender alive, so the persister stops on
+        // a message, not on a closed channel.
+        if let Some(handle) = self.persister.take() {
+            if let Some(persist) = &self.state.persist {
+                let _ = persist.send(Persist::Stop);
+            }
             let _ = handle.join();
         }
         if let Some(handle) = self.prober.take() {

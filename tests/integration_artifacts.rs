@@ -276,6 +276,133 @@ fn identical_mtime_eviction_breaks_ties_by_name_deterministically() {
     }
 }
 
+/// The names of the `cr-`/`pt-` files in `store`'s directory, sorted.
+fn artifact_names(store: &ArtifactStore) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(store.dir())
+        .expect("list store")
+        .flatten()
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| (n.starts_with("cr-") || n.starts_with("pt-")) && n.ends_with(".json"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Copy every artifact of `store` into a fresh directory with its mtime,
+/// and open a second store there.
+fn mirror(store: &ArtifactStore, tag: &str) -> ArtifactStore {
+    let dir = scratch(tag);
+    std::fs::create_dir_all(&dir).expect("mirror dir");
+    for name in artifact_names(store) {
+        let from = store.dir().join(&name);
+        let to = dir.join(&name);
+        std::fs::copy(&from, &to).expect("copy artifact");
+        let modified = std::fs::metadata(&from)
+            .and_then(|m| m.modified())
+            .expect("stat artifact");
+        std::fs::File::options()
+            .write(true)
+            .open(&to)
+            .and_then(|f| f.set_modified(modified))
+            .expect("copy mtime");
+    }
+    ArtifactStore::open(dir).expect("open mirror")
+}
+
+#[test]
+fn indexed_eviction_picks_the_listing_sweeps_survivors() {
+    // One store saves a sequence with republished keys and keeps its
+    // budget from the index after every save; a mirror of the directory,
+    // taken after the save, runs the listing sweep instead. Both
+    // must keep exactly the same files at every step, under an entry
+    // budget and under a byte budget. Back-to-back saves often share a
+    // coarse filesystem mtime, so the name tie-break is exercised too.
+    let (key, result) = sample();
+    let file_len = encode_result(key, &result).len() + 1;
+    for (tag, max_entries, max_bytes, kept) in [
+        ("idx-entries", Some(4), None, 4),
+        ("idx-bytes", None, Some(3 * file_len), 3),
+    ] {
+        let store = ArtifactStore::open(scratch(tag)).expect("open store");
+        for (step, k) in [3u64, 1, 4, 1, 5, 0, 2, 6, 5, 3, 7, 0]
+            .into_iter()
+            .enumerate()
+        {
+            store.save_result((key.0, k), &result).expect("save");
+            let listed = mirror(&store, &format!("{tag}-mirror"));
+            let by_listing = listed
+                .enforce_budget(max_entries, max_bytes)
+                .expect("sweep");
+            let by_index = store.enforce_budget_indexed(max_entries, max_bytes);
+            assert_eq!(by_index, by_listing, "{tag} step {step}: eviction counts");
+            assert_eq!(
+                artifact_names(&store),
+                artifact_names(&listed),
+                "{tag} step {step}: survivors"
+            );
+            let _ = std::fs::remove_dir_all(listed.dir());
+        }
+        assert_eq!(store.load_results().loaded.len(), kept);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    // Forced identical mtimes, read by the boot listing of a fresh store:
+    // the index breaks the tie by name exactly as the sweep does.
+    for (tag, order) in [
+        ("idx-tie-fwd", vec![0, 1, 2, 3]),
+        ("idx-tie-rev", vec![3, 2, 1, 0]),
+    ] {
+        let written = identical_mtime_store(tag, 4, order.into_iter());
+        let reopened = ArtifactStore::open(written.dir()).expect("reopen");
+        assert_eq!(reopened.enforce_budget_indexed(Some(2), None), 2);
+        let survivors: Vec<u64> = reopened
+            .load_results()
+            .loaded
+            .iter()
+            .map(|((_, cfg), _)| *cfg)
+            .collect();
+        assert_eq!(survivors, vec![2, 3], "{tag}: smallest names fall first");
+        let _ = std::fs::remove_dir_all(written.dir());
+    }
+}
+
+#[test]
+fn indexed_eviction_never_deletes_a_republished_file() {
+    // Key 0 is the oldest file in this store's index. Another writer (a
+    // second store on the same directory, as a second daemon would be)
+    // republishes it, so the index's mtime for it is stale. An indexed
+    // eviction down to one file must keep it and delete the others.
+    let dir = scratch("idx-republish");
+    let store = ArtifactStore::open(&dir).expect("open store");
+    let (key, result) = sample();
+    for k in 0..3u64 {
+        store.save_result((key.0, k), &result).expect("save");
+    }
+    let other = ArtifactStore::open(&dir).expect("second writer");
+    let path = other.save_result((key.0, 0), &result).expect("republish");
+    let later = std::time::SystemTime::now() + std::time::Duration::from_secs(3600);
+    std::fs::File::options()
+        .write(true)
+        .open(&path)
+        .and_then(|f| f.set_modified(later))
+        .expect("stamp the republished file");
+
+    assert_eq!(store.enforce_budget_indexed(Some(1), None), 2);
+    let report = store.load_results();
+    assert_eq!(report.loaded.len(), 1);
+    assert_eq!(
+        report.loaded[0].0,
+        (key.0, 0),
+        "the republished key survives"
+    );
+    assert_eq!(report.loaded[0].1, result);
+    // The index re-filed it under its new mtime: now it is an ordinary
+    // victim.
+    assert_eq!(store.enforce_budget_indexed(Some(0), None), 1);
+    assert!(artifact_names(&store).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn budget_sweep_races_concurrent_republication_without_losing_writes() {
     // A writer republishing one key (write-temp → rename) races a

@@ -6,8 +6,8 @@
 
 use mps::{SelectEngine, Session};
 use mps_serve::protocol::{Reply, Request};
-use mps_serve::{spawn_loopback, Client, ServeOptions, Server};
-use std::time::Duration;
+use mps_serve::{spawn_loopback, Client, FaultPlan, ServeOptions, Server};
+use std::time::{Duration, Instant};
 
 /// The same registry slice the session golden suite sweeps.
 const WORKLOADS: [&str; 12] = [
@@ -397,7 +397,7 @@ fn malformed_requests_answer_with_stage_provenance() {
 
 /// Shutdown drains: requests admitted before the shutdown verb still get
 /// real replies, new compiles after it are refused, and the server
-/// thread (and its dispatcher) exits.
+/// thread (and its workers) exits.
 #[test]
 fn shutdown_drains_and_refuses_new_work() {
     let server = Server::new(ServeOptions {
@@ -426,7 +426,109 @@ fn shutdown_drains_and_refuses_new_work() {
         Reply::Error(e) => assert!(e.error.contains("shutting down"), "{}", e.error),
         other => panic!("expected refusal, got {other:?}"),
     }
-    // finish() joins the dispatcher; hanging here would fail the test by
+    // finish() joins the workers; hanging here would fail the test by
     // timeout.
     server.finish();
+}
+
+/// A cache hit never waits for a cold compile admitted before it: with
+/// two workers, one is free to answer the hit while the other spends
+/// ~300 ms in an injected select-stage delay.
+#[test]
+fn cached_hit_answers_while_a_cold_compile_runs() {
+    let (addr, server) = spawn_loopback(ServeOptions {
+        workers: 2,
+        faults: FaultPlan {
+            delay_stage: Some((mps::Stage::Select, 300)),
+            ..FaultPlan::default()
+        },
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let compile = |name: &str| Request {
+        op: "compile".to_string(),
+        workload: Some(name.to_string()),
+        ..Request::default()
+    };
+    let mut client = connect(addr);
+    assert!(!compile_reply(&mut client, &compile("fig4")).cached);
+
+    std::thread::scope(|scope| {
+        let cold = scope.spawn(|| compile_reply(&mut connect(addr), &compile("fig2")));
+        // Wait until the cold compile has started (its miss is counted
+        // when it claims the single-flight slot).
+        let started = Instant::now();
+        while client.stats().expect("stats").artifact_cache_misses < 2 {
+            assert!(
+                started.elapsed() < Duration::from_secs(10),
+                "cold compile never began"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        let hit = compile_reply(&mut client, &compile("fig4"));
+        let waited = t0.elapsed();
+        assert!(hit.cached);
+        assert!(
+            waited < Duration::from_millis(100),
+            "the hit waited {waited:?} behind the cold compile"
+        );
+        let cold = cold.join().expect("cold client");
+        assert!(!cold.cached);
+    });
+    client.shutdown().expect("shutdown ack");
+    server.join().expect("server thread");
+}
+
+/// `stats` is a persistence barrier: read right after each compile
+/// reply, it counts that compile's result and table as persisted, even
+/// though the saves happen after the reply. A restarted server loads
+/// every one of them.
+#[test]
+fn stats_after_a_reply_counts_its_saves_exactly() {
+    let dir = std::env::temp_dir().join(format!("mps-serve-it-barrier-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = ServeOptions {
+        workers: 2,
+        cache_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    let names = ["fig2", "fig4", "dft3", "fir8", "iir2"];
+    let compile = |name: &str| Request {
+        op: "compile".to_string(),
+        workload: Some(name.to_string()),
+        span: Some(Some(1)),
+        ..Request::default()
+    };
+    {
+        let (addr, server) = spawn_loopback(opts.clone()).expect("bind cold server");
+        let mut client = connect(addr);
+        for (i, name) in names.iter().enumerate() {
+            assert!(!compile_reply(&mut client, &compile(name)).cached);
+            let stats = client.stats().expect("stats");
+            let n = i as u64 + 1;
+            assert_eq!(
+                (stats.artifacts_persisted, stats.tables_persisted),
+                (n, n),
+                "after {name}"
+            );
+            assert_eq!(stats.latency.persist.count, 2 * n);
+            assert_eq!(stats.latency.queue_wait.count, n);
+        }
+        client.shutdown().expect("shutdown cold server");
+        server.join().expect("cold server exits");
+    }
+    let (addr, server) = spawn_loopback(opts).expect("bind restarted server");
+    let mut client = connect(addr);
+    let stats = client.stats().expect("stats");
+    let n = names.len() as u64;
+    assert_eq!((stats.artifacts_loaded, stats.tables_loaded), (n, n));
+    assert_eq!(stats.load_rejected, 0);
+    for name in names {
+        assert!(compile_reply(&mut client, &compile(name)).cached);
+    }
+    assert_eq!(client.stats().expect("stats").artifacts_persisted, 0);
+    client.shutdown().expect("shutdown restarted server");
+    server.join().expect("restarted server exits");
+    let _ = std::fs::remove_dir_all(&dir);
 }
