@@ -162,7 +162,7 @@ fn hash_field(doc: &Value, name: &str) -> Result<u64, ArtifactError> {
 /// that order (so the error names the *first* reason a foreign file is
 /// untrustworthy), and hand back the key and the raw payload.
 fn decode_envelope(text: &str, kind: &str) -> Result<(ArtifactKey, Value), ArtifactError> {
-    let doc = json::parse(text).map_err(ArtifactError::Parse)?;
+    let mut doc = json::parse(text).map_err(ArtifactError::Parse)?;
     if str_field(&doc, "magic")? != MAGIC {
         return Err(ArtifactError::Malformed("wrong magic".into()));
     }
@@ -187,8 +187,7 @@ fn decode_envelope(text: &str, kind: &str) -> Result<(ArtifactKey, Value), Artif
         hash_field(&doc, "graph_hash")?,
         hash_field(&doc, "config_hash")?,
     );
-    let payload = json::field(&doc, "payload")
-        .cloned()
+    let payload = json::take_field(&mut doc, "payload")
         .ok_or_else(|| ArtifactError::Malformed("missing field `payload`".into()))?;
     Ok((key, payload))
 }
@@ -272,7 +271,7 @@ pub fn decode_table_entry(
     text: &str,
     expected: Option<ArtifactKey>,
 ) -> Result<(u64, TableKey, PatternTable), ArtifactError> {
-    let (envelope_key, payload) = decode_envelope(text, KIND_TABLE)?;
+    let (envelope_key, mut payload) = decode_envelope(text, KIND_TABLE)?;
     if let Some(expected) = expected {
         if envelope_key != expected {
             return Err(ArtifactError::KeyMismatch {
@@ -304,8 +303,7 @@ pub fn decode_table_entry(
             "table key parameters do not hash to the envelope's config_hash".into(),
         ));
     }
-    let table_value = json::field(&payload, "table")
-        .cloned()
+    let table_value = json::take_field(&mut payload, "table")
         .ok_or_else(|| ArtifactError::Malformed("table payload missing `table`".into()))?;
     let table: PatternTable =
         serde::from_value(table_value).map_err(|e| ArtifactError::Malformed(e.to_string()))?;

@@ -151,19 +151,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeue an item if one is immediately available. Unlike
-    /// [`pop`](BoundedQueue::pop) this never blocks, so a consumer that
-    /// already holds one item can opportunistically drain a batch.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
-        let item = state.items.pop_front();
-        if item.is_some() {
-            drop(state);
-            self.not_full.notify_one();
-        }
-        item
-    }
-
     /// Close the queue: refuse all future pushes, wake every blocked
     /// producer (their pushes fail) and consumer (they drain the
     /// remainder, then observe `None`). Idempotent.
@@ -251,15 +238,6 @@ mod tests {
             assert_eq!(consumer.join().unwrap(), None);
         })
         .unwrap();
-    }
-
-    #[test]
-    fn try_pop_never_blocks() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(2);
-        assert_eq!(q.try_pop(), None);
-        q.push(5).unwrap();
-        assert_eq!(q.try_pop(), Some(5));
-        assert_eq!(q.try_pop(), None);
     }
 
     #[test]

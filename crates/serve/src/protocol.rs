@@ -84,7 +84,7 @@ impl Request {
     /// Decode one request line. Errors are human-readable strings (sent
     /// back verbatim in an [`ErrorReply`]).
     pub fn from_line(line: &str) -> Result<Request, String> {
-        let value = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
+        let mut value = json::parse(line).map_err(|e| format!("invalid JSON: {e}"))?;
         let Value::Map(_) = &value else {
             return Err("request must be a JSON object".to_string());
         };
@@ -112,8 +112,9 @@ impl Request {
             ("graph_hash", &mut req.graph_hash),
             ("config_hash", &mut req.config_hash),
         ] {
-            *slot = match json::field(&value, name) {
-                Some(Value::Str(s)) => Some(s.clone()),
+            // Moved, not cloned: `graph` carries a whole inline graph.
+            *slot = match json::take_field(&mut value, name) {
+                Some(Value::Str(s)) => Some(s),
                 None | Some(Value::Unit) => None,
                 Some(_) => return Err(format!("\"{name}\" must be a string")),
             };

@@ -395,6 +395,54 @@ fn malformed_requests_answer_with_stage_provenance() {
     server.join().expect("server thread");
 }
 
+/// A request line near the 1 MiB line cap decodes in linear time: a
+/// ~900 KiB inline graph whose last line names an unknown node gets its
+/// analyze-stage error reply in well under the seconds a per-char JSON
+/// string scan that re-validates the rest of the line would take.
+#[test]
+fn near_cap_inline_graph_is_answered_promptly() {
+    let (addr, server) = spawn_loopback(ServeOptions {
+        workers: 1,
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let mut client = connect(addr);
+
+    let mut graph = String::new();
+    let mut i = 0;
+    while graph.len() < 900 * 1024 {
+        graph.push_str(&format!("node n{i} a\n"));
+        if i > 0 {
+            graph.push_str(&format!("edge n{} n{i}\n", i - 1));
+        }
+        i += 1;
+    }
+    graph.push_str("edge n0 ghost\n");
+    let line = Request {
+        op: "compile".to_string(),
+        graph: Some(graph.clone()),
+        ..Request::default()
+    }
+    .to_line();
+    assert!(line.len() < ServeOptions::default().max_line_bytes);
+
+    let start = Instant::now();
+    let reply = client.send_line(&line).expect("round trip");
+    let took = start.elapsed();
+    match Reply::from_line(&reply).expect("decodable reply") {
+        Reply::Error(e) => {
+            assert_eq!(e.stage.as_deref(), Some("analyze"), "{}", e.error);
+            let direct = mps::MpsError::from(mps::dfg::parse_text(&graph).unwrap_err());
+            assert_eq!(e.error, direct.to_string());
+        }
+        other => panic!("expected a pipeline error, got {other:?}"),
+    }
+    assert!(took < Duration::from_secs(2), "reply took {took:?}");
+
+    client.shutdown().expect("shutdown ack");
+    server.join().expect("server thread");
+}
+
 /// Shutdown drains: requests admitted before the shutdown verb still get
 /// real replies, new compiles after it are refused, and the server
 /// thread (and its workers) exits.
