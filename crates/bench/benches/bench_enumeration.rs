@@ -1,5 +1,5 @@
-//! Enumeration + classification throughput — the perf trajectory planted
-//! by PR 2 (allocation-free enumerator + interned patterns).
+//! Enumeration + classification throughput (allocation-free enumerator +
+//! interned patterns).
 //!
 //! Measures, on the paper's DFT workload and a complexsig-built FFT:
 //!
@@ -11,9 +11,18 @@
 //!   [`PatternTable::build_reference`], same configs. The ratio
 //!   `classify_reference / classify` is the speedup the PR claims
 //!   (`scripts/bench_snapshot.sh` records it in `BENCH_2.json`).
+//!
+//! and how the span limit controls the combinatorial cost and enumeration
+//! scales with graph size:
+//!
+//! * `enumerate/fig2_span_limit` — the paper's Fig. 2 graph at span
+//!   limits 0–4;
+//! * `enumerate/random_dag_size` — random layered DAGs of 4, 6 and 8
+//!   layers at span 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mps::prelude::*;
+use mps::workloads::{random_layered_dag, RandomDagConfig};
 
 fn graphs() -> Vec<(&'static str, AnalyzedDfg)> {
     vec![
@@ -39,6 +48,12 @@ fn cfg(limit: Option<u32>) -> EnumerateConfig {
     }
 }
 
+fn count_antichains(adfg: &AnalyzedDfg, cfg: EnumerateConfig) -> u64 {
+    let mut count = 0u64;
+    mps::patterns::for_each_antichain(adfg, cfg, |_, _| count += 1);
+    count
+}
+
 fn bench_enumeration(c: &mut Criterion) {
     for (name, adfg) in graphs() {
         let mut group = c.benchmark_group(format!("enumeration/{name}"));
@@ -46,13 +61,7 @@ fn bench_enumeration(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::from_parameter(span_label(limit)),
                 &limit,
-                |b, &limit| {
-                    b.iter(|| {
-                        let mut count = 0u64;
-                        mps::patterns::for_each_antichain(&adfg, cfg(limit), |_, _| count += 1);
-                        count
-                    });
-                },
+                |b, &limit| b.iter(|| count_antichains(&adfg, cfg(limit))),
             );
         }
         group.finish();
@@ -91,10 +100,42 @@ fn bench_classification_reference(c: &mut Criterion) {
     }
 }
 
+fn bench_span_limits(c: &mut Criterion) {
+    let adfg = AnalyzedDfg::new(mps::workloads::fig2());
+    let mut group = c.benchmark_group("enumerate/fig2_span_limit");
+    for limit in [0u32, 1, 2, 3, 4] {
+        group.bench_with_input(BenchmarkId::from_parameter(limit), &limit, |b, &limit| {
+            b.iter(|| count_antichains(&adfg, cfg(Some(limit))))
+        });
+    }
+    group.finish();
+}
+
+fn bench_graph_size(c: &mut Criterion) {
+    let mut group = c.benchmark_group("enumerate/random_dag_size");
+    group.sample_size(10);
+    for layers in [4usize, 6, 8] {
+        let adfg = AnalyzedDfg::new(random_layered_dag(&RandomDagConfig {
+            layers,
+            width: (4, 6),
+            seed: 7,
+            ..Default::default()
+        }));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(format!("{}nodes", adfg.len())),
+            &adfg,
+            |b, adfg| b.iter(|| count_antichains(adfg, cfg(Some(1)))),
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_enumeration,
     bench_classification,
-    bench_classification_reference
+    bench_classification_reference,
+    bench_span_limits,
+    bench_graph_size
 );
 criterion_main!(benches);

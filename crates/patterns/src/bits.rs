@@ -144,7 +144,8 @@ fn and_above_unrolled(dst: &mut [u64], a: &[u64], b: &[u64], idx: usize) {
 }
 
 /// Count the set bits of `words` at bit indices strictly greater than
-/// `idx` — the popcount behind [`crate::depth1_branch_count`].
+/// `idx` — for a node's parallel row, the nodes parallel to it with a
+/// greater id.
 pub fn count_above(words: &[u64], idx: usize) -> usize {
     let iw = idx / 64;
     words

@@ -1,6 +1,6 @@
 //! Span-limited antichain enumeration (paper §5.1).
 
-use crate::bits::{and_above, count_above, BitIter};
+use crate::bits::{and_above, BitIter};
 use mps_dfg::{AnalyzedDfg, Antichain, NodeId};
 
 /// Parameters of the antichain enumeration.
@@ -124,78 +124,6 @@ impl<'a> AntichainEnumerator<'a> {
         self.extend(1, visit);
     }
 
-    /// Visit only the singleton antichain `{root}` (span is always 0).
-    ///
-    /// Together with [`AntichainEnumerator::enumerate_branch`] over every
-    /// depth-1 branch, this reconstitutes exactly the multiset
-    /// [`AntichainEnumerator::enumerate_root`] visits (the property tests
-    /// check the identity).
-    pub fn enumerate_singleton<F: FnMut(&Antichain, u32)>(&mut self, root: NodeId, mut visit: F) {
-        self.current = Antichain::new();
-        self.current.push(root);
-        visit(&self.current, 0);
-    }
-
-    /// Enumerate every antichain whose two smallest elements are exactly
-    /// `{root, branch}`, calling `visit(antichain, span)` for each.
-    ///
-    /// `branch` must be a depth-1 branch of `root` (see
-    /// [`depth1_branch_count`] / [`for_each_depth1_branch`]): parallel to
-    /// `root` with a greater node id. When it is not — or when
-    /// `{root, branch}` already exceeds the span limit, or the capacity is
-    /// 1 — nothing is visited. The DFS below depth 1 is independent per
-    /// branch, so a root's tree can be split branch by branch.
-    pub fn enumerate_branch<F: FnMut(&Antichain, u32)>(
-        &mut self,
-        root: NodeId,
-        branch: NodeId,
-        mut visit: F,
-    ) {
-        self.run_branch(root, branch, &mut visit);
-    }
-
-    fn run_branch<F: FnMut(&Antichain, u32)>(
-        &mut self,
-        root: NodeId,
-        branch: NodeId,
-        visit: &mut F,
-    ) {
-        if self.cfg.capacity < 2 {
-            return;
-        }
-        let (ri, bi) = (root.index(), branch.index());
-        let par_root = self.adfg.reach().par_row(root);
-        if bi <= ri || par_root[bi / 64] >> (bi % 64) & 1 == 0 {
-            return; // not a depth-1 branch of this root
-        }
-        let levels = self.adfg.levels();
-        let max_asap = levels.asap(root).max(levels.asap(branch));
-        let min_alap = levels.alap(root).min(levels.alap(branch));
-        let span = max_asap.saturating_sub(min_alap);
-        if let Some(limit) = self.cfg.span_limit {
-            // Span is monotone under insertion: pruning {root, branch}
-            // prunes the branch's whole subtree, exactly as in the
-            // unsplit DFS.
-            if span > limit {
-                return;
-            }
-        }
-        self.current = Antichain::new();
-        self.current.push(root);
-        self.current.push(branch);
-        visit(&self.current, span);
-        if self.cfg.capacity > 2 {
-            // cand[2] = candidates after both choices. The root's mask
-            // only needs the `> branch` restriction because
-            // `branch > root` makes it subsume the `> root` one.
-            self.max_asap[2] = max_asap;
-            self.min_alap[2] = min_alap;
-            let par_branch = self.adfg.reach().par_row(branch);
-            and_above(&mut self.cand[2], par_root, par_branch, bi);
-            self.extend(2, visit);
-        }
-    }
-
     /// Try to extend the current antichain (of size `depth`) with every
     /// candidate at `cand[depth]`.
     fn extend<F: FnMut(&Antichain, u32)>(&mut self, depth: usize, visit: &mut F) {
@@ -276,25 +204,6 @@ pub fn enumerate_antichains(adfg: &AnalyzedDfg, cfg: EnumerateConfig) -> Vec<Ant
     let mut out = Vec::new();
     for_each_antichain(adfg, cfg, |a, _| out.push(*a));
     out
-}
-
-/// Number of depth-1 branches of `root`'s enumeration tree — the nodes
-/// parallel to `root` with a greater id: one masked popcount of the root's
-/// parallel row, 0 exactly for roots whose tree is the bare singleton.
-pub fn depth1_branch_count(adfg: &AnalyzedDfg, root: NodeId) -> usize {
-    count_above(adfg.reach().par_row(root), root.index())
-}
-
-/// Visit the depth-1 branches of `root` in ascending node-id order (the
-/// units [`AntichainEnumerator::enumerate_branch`] takes). Visits exactly
-/// [`depth1_branch_count`] nodes.
-pub fn for_each_depth1_branch<F: FnMut(NodeId)>(adfg: &AnalyzedDfg, root: NodeId, mut f: F) {
-    let ri = root.index();
-    for i in BitIter::new(adfg.reach().par_row(root)) {
-        if i > ri {
-            f(NodeId(i as u32));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -464,114 +373,6 @@ mod tests {
             en.enumerate_root(root, |_, _| count += 1);
         }
         assert_eq!(count, full);
-    }
-
-    /// Multiset of (member ids, span) pairs — the currency of the split
-    /// identity tests.
-    fn visit_set<F: FnOnce(&mut Vec<(Vec<u32>, u32)>)>(f: F) -> Vec<(Vec<u32>, u32)> {
-        let mut out = Vec::new();
-        f(&mut out);
-        out.sort();
-        out
-    }
-
-    fn keyed(a: &Antichain, s: u32) -> (Vec<u32>, u32) {
-        (a.iter().map(|n| n.0).collect(), s)
-    }
-
-    #[test]
-    fn branch_split_reconstitutes_root_enumeration() {
-        // singleton + Σ depth-1 branches ≡ enumerate_root, per root, as a
-        // multiset of (antichain, span) pairs.
-        let adfg = fig4();
-        for capacity in [1usize, 2, 3, 5] {
-            for span_limit in [None, Some(0), Some(2)] {
-                let cfg = EnumerateConfig {
-                    capacity,
-                    span_limit,
-                    parallel: false,
-                };
-                let mut en = AntichainEnumerator::new(&adfg, cfg);
-                for root in adfg.dfg().node_ids() {
-                    let whole =
-                        visit_set(|out| en.enumerate_root(root, |a, s| out.push(keyed(a, s))));
-                    let split = visit_set(|out| {
-                        en.enumerate_singleton(root, |a, s| out.push(keyed(a, s)));
-                        for_each_depth1_branch(&adfg, root, |b| {
-                            en.enumerate_branch(root, b, |a, s| out.push(keyed(a, s)));
-                        });
-                    });
-                    assert_eq!(
-                        split, whole,
-                        "root {root:?} capacity {capacity} span {span_limit:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn branch_rejects_non_branches() {
-        // Dependent pairs, reversed order, and self-pairs all visit
-        // nothing: enumerate_branch is a no-op outside the depth-1 set.
-        let adfg = fig4();
-        let g = adfg.dfg();
-        let (a1, a2, a3) = (
-            g.find("a1").unwrap(),
-            g.find("a2").unwrap(),
-            g.find("a3").unwrap(),
-        );
-        let mut en = AntichainEnumerator::new(&adfg, EnumerateConfig::default());
-        let mut count = 0usize;
-        en.enumerate_branch(a1, a2, |_, _| count += 1); // a1 → a2: dependent
-        en.enumerate_branch(a3, a1, |_, _| count += 1); // order reversed
-        en.enumerate_branch(a1, a1, |_, _| count += 1); // self
-        assert_eq!(count, 0);
-    }
-
-    #[test]
-    fn branch_prunes_over_span_limit() {
-        // Two parallel chains: {x0, y2} has span 2 and must vanish (with
-        // its whole subtree) under a tight limit.
-        let mut b = DfgBuilder::new();
-        let x0 = b.add_node("x0", c('a'));
-        let x1 = b.add_node("x1", c('a'));
-        b.add_edge(x0, x1).unwrap();
-        let y0 = b.add_node("y0", c('a'));
-        let y1 = b.add_node("y1", c('a'));
-        let y2 = b.add_node("y2", c('a'));
-        b.add_edge(y0, y1).unwrap();
-        b.add_edge(y1, y2).unwrap();
-        let adfg = AnalyzedDfg::new(b.build().unwrap());
-        let cfg = EnumerateConfig {
-            capacity: 3,
-            span_limit: Some(0),
-            parallel: false,
-        };
-        let mut en = AntichainEnumerator::new(&adfg, cfg);
-        let mut visited = Vec::new();
-        en.enumerate_branch(x0, y2, |a, s| visited.push(keyed(a, s)));
-        assert!(
-            visited.is_empty(),
-            "span-2 branch under limit 0: {visited:?}"
-        );
-        en.enumerate_branch(x0, y0, |a, s| visited.push(keyed(a, s)));
-        assert_eq!(visited, vec![(vec![x0.0, y0.0], 0)]);
-    }
-
-    #[test]
-    fn depth1_branch_count_matches_iteration() {
-        let adfg = fig4();
-        for root in adfg.dfg().node_ids() {
-            let mut listed = Vec::new();
-            for_each_depth1_branch(&adfg, root, |b| listed.push(b));
-            assert_eq!(listed.len(), depth1_branch_count(&adfg, root));
-            for b in &listed {
-                assert!(b.index() > root.index());
-                assert!(adfg.reach().parallelizable(root, *b));
-            }
-            assert!(listed.windows(2).all(|w| w[0].index() < w[1].index()));
-        }
     }
 
     #[test]

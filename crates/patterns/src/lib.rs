@@ -52,8 +52,8 @@ pub use bits::{and_above, and_above_count, and_above_scalar, count_above, BitIte
 pub use cover::CoverMatrix;
 pub use dag::DagStats;
 pub use enumerate::{
-    depth1_branch_count, enumerate_antichains, for_each_antichain, for_each_antichain_from_root,
-    for_each_depth1_branch, AntichainEnumerator, EnumerateConfig,
+    enumerate_antichains, for_each_antichain, for_each_antichain_from_root, AntichainEnumerator,
+    EnumerateConfig,
 };
 pub use hasse::SubpatternLattice;
 pub use key::PackedBag;

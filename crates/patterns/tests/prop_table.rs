@@ -6,12 +6,10 @@
 //! path [`PatternTable::build_reference`], and the first two also with a
 //! naive reference built from [`enumerate_antichains`] into a `BTreeMap`.
 
-use mps_dfg::AnalyzedDfg;
+use mps_dfg::{AnalyzedDfg, Color, DfgBuilder};
 use mps_patterns::{enumerate_antichains, EnumerateConfig, Pattern, PatternTable};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-mod common;
 
 const MAX_NODES: usize = 24;
 
@@ -19,8 +17,23 @@ const MAX_NODES: usize = 24;
 /// every antichain up to C = 8.
 const SWEEP_NODES: usize = 16;
 
+/// Build a DAG from proptest raw material: node `i` gets `colors[i]`, and
+/// a forward edge `i → j` (for `i < j`) exists where
+/// `edges[i * MAX_NODES + j]` is set. Forward-only edges guarantee
+/// acyclicity.
 fn build_dag(n: usize, colors: &[u8], edges: &[bool]) -> AnalyzedDfg {
-    common::build_dag(n, colors, edges, MAX_NODES)
+    let mut b = DfgBuilder::new();
+    let ids: Vec<_> = (0..n)
+        .map(|i| b.add_node(format!("n{i}"), Color(colors[i])))
+        .collect();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if edges[i * MAX_NODES + j] {
+                b.add_edge(ids[i], ids[j]).unwrap();
+            }
+        }
+    }
+    AnalyzedDfg::new(b.build().unwrap())
 }
 
 /// Third, independent implementation of §5.1 classification: collect every

@@ -3,8 +3,9 @@
 # scripts/bench_snapshot.sh and uploaded by CI as bench-snapshot.json):
 # compare every timing row present in both files and emit a GitHub Actions
 # `::warning::` annotation for each metric that regressed by more than the
-# threshold (default 20%) — end-to-end rows, the selection-stage rows
-# (engine and reference sides), and the batch-compile rows alike.
+# threshold (default 20%) — the table-build rows, the selection-stage rows
+# (engine and reference sides), the batch-compile rows and the
+# fabric-partition rows alike.
 #
 # Usage:  scripts/bench_trend.sh PREV.json CURR.json [THRESHOLD_PCT]
 #
@@ -61,48 +62,6 @@ extract() {
           ((.batch_rows // [])[0:1][] | {
               key: "batch_sequential/\(.workload)",
               sec: .sequential_sec
-          }),
-          (.serve_rows[]? | {
-              key: "serve_cold/\(.workload)/\(.config // "default")",
-              sec: .cold_sec
-          }),
-          (.serve_rows[]? | {
-              key: "serve_warm/\(.workload)/\(.config // "default")",
-              sec: .warm_sec
-          }),
-          # shed_reply_sec can legitimately be 0.0 (no shed observed on a
-          # huge runner); the awk pass already skips p <= 0 pairs.
-          (.shed_rows[]? | {
-              key: "shed_reply/\(.workload)/clients=\(.clients)",
-              sec: .shed_reply_sec
-          }),
-          (.shed_rows[]? | {
-              key: "shed_accepted/\(.workload)/clients=\(.clients)",
-              sec: .accepted_sec
-          }),
-          (.shed_rows[]? | {
-              key: "shed_warm_unloaded/\(.workload)/clients=\(.clients)",
-              sec: .warm_unloaded_sec
-          }),
-          (.warm_start_rows[]? | {
-              key: "warm_start_cold/\(.workload)",
-              sec: .cold_sec
-          }),
-          (.warm_start_rows[]? | {
-              key: "warm_start_restart/\(.workload)",
-              sec: .restart_warm_sec
-          }),
-          (.fleet_rows[]? | {
-              key: "fleet_forwarded_hit/\(.workload)",
-              sec: .forwarded_hit_sec
-          }),
-          (.fleet_rows[]? | {
-              key: "fleet_local_hit/\(.workload)",
-              sec: .local_hit_sec
-          }),
-          (.fleet_rows[]? | {
-              key: "fleet_failover_recompute/\(.workload)",
-              sec: .failover_recompute_sec
           }),
           (.partition_rows[]? | {
               key: "partition_compile/\(.workload)/fabric=\(.fabric)",
