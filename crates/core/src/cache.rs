@@ -25,6 +25,9 @@
 //!
 //! Waits are bounded by the waiter's own [`CancelToken`]: a wait ends at
 //! the token's deadline and re-polls the explicit flag every 20 ms.
+//! [`SingleFlightCache::get`] never computes and never waits: it answers
+//! published outcomes only, so a caller can serve hits on its own thread
+//! and hand only misses to wherever computes run.
 //!
 //! An optional [`CacheBudget`] caps the *published* outcomes by count and
 //! by bytes, as charged by the cost function given at construction
@@ -328,14 +331,31 @@ impl<K: Copy + Eq + Hash, T> SingleFlightCache<K, T> {
         true
     }
 
+    /// The published outcome for `key` — a value or a cached error —
+    /// without computing and without waiting: in-flight and absent keys
+    /// answer `None`. A returned outcome counts as a hit and refreshes the
+    /// key's LRU stamp, exactly like a hit through
+    /// [`get_or_compute`](Self::get_or_compute).
+    pub fn get(&self, key: K) -> Option<Outcome<T>> {
+        let outcome = self.published(&key)?;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.lru().touch(&key);
+        Some(outcome)
+    }
+
     /// The published *successful* value for `key`, if resident, without
     /// blocking and without refreshing its LRU stamp. In-flight computes,
     /// cached errors and absent keys all answer `None`.
     pub fn peek(&self, key: K) -> Option<Arc<T>> {
-        let slot = Arc::clone(self.shard(&key).get(&key)?);
+        self.published(&key)?.ok()
+    }
+
+    /// The published outcome for `key`, counting and touching nothing.
+    fn published(&self, key: &K) -> Option<Outcome<T>> {
+        let slot = Arc::clone(self.shard(key).get(key)?);
         let state = slot.lock();
         match &*state {
-            SlotState::Ready(Ok(value)) => Some(Arc::clone(value)),
+            SlotState::Ready(outcome) => Some(outcome.clone()),
             _ => None,
         }
     }
@@ -675,6 +695,43 @@ mod tests {
         );
     }
 
+    #[test]
+    fn get_answers_published_outcomes_only() {
+        let cache = cache(None, None);
+        assert!(cache.get((1, 1)).is_none(), "absent keys answer None");
+        // A claimed key is pending: `get` neither waits for it nor
+        // computes (it returns while the claim is still held).
+        wait_behind_claim(&cache, || assert!(cache.get((3, 3)).is_none()));
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (0, 1),
+            "None counts nothing"
+        );
+        // Once published, `get` returns the very same value and counts it.
+        let published = cache.peek((3, 3)).expect("the claim published");
+        let got = cache.get((3, 3)).expect("published").unwrap();
+        assert!(Arc::ptr_eq(&got, &published));
+        // Cached errors are published outcomes too.
+        let fail = || Err(MpsError::from(ScheduleError::NoPatterns));
+        let (failed, _) = cache.get_or_compute((9, 9), None, fail).unwrap();
+        assert!(failed.is_err());
+        assert!(cache.get((9, 9)).expect("cached error").is_err());
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+    }
+
+    #[test]
+    fn get_touches_the_lru() {
+        let cache = cache(Some(2), None);
+        miss(&cache, (1, 1), 1);
+        miss(&cache, (2, 2), 2);
+        // Unlike a peek, a get saves the older key from eviction.
+        assert_eq!(cache.get((1, 1)).unwrap().unwrap().as_ref(), &1);
+        miss(&cache, (3, 3), 3);
+        assert_eq!(cache.peek((2, 2)), None, "(2,2) became least recently used");
+        assert_eq!(cache.peek((1, 1)).as_deref(), Some(&1));
+        assert_eq!((cache.hits(), cache.evictions()), (1, 1));
+    }
+
     /// The naive reference: a `Vec` in LRU order (oldest first) with
     /// linear scans for everything.
     #[derive(Default)]
@@ -707,14 +764,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Random `get_or_compute` / `seed` / `peek` sequences over small
+        /// Random `get_or_compute` / `seed` / `peek` / `get` sequences over small
         /// budgets agree with the naive model step for step: hit flags,
         /// counters, and the resident key set with its values.
         #[test]
         fn matches_a_naive_lru_model(
             max_entries in proptest::option::of(1usize..4),
             max_bytes in proptest::option::of(100usize..700),
-            ops in proptest::collection::vec((0u8..3, 0u64..6, 0u8..4, 1u64..300), 1..60),
+            ops in proptest::collection::vec((0u8..4, 0u64..6, 0u8..4, 1u64..300), 1..60),
         ) {
             let budget = CacheBudget { max_entries, max_bytes };
             let cache = cache(max_entries, max_bytes);
@@ -752,9 +809,20 @@ mod tests {
                             model.admit(key, (kind >= 2).then_some(v), budget);
                         }
                     }
-                    _ => {
+                    2 => {
                         let want = pos.and_then(|i| model.entries[i].1);
                         prop_assert_eq!(cache.peek(key).as_deref().copied(), want);
+                    }
+                    _ => {
+                        // Published: `Some(value)` or `Some(None)` for a
+                        // cached error; absent keys answer `None`.
+                        let got = cache.get(key).map(|o| o.ok().map(|v| *v));
+                        prop_assert_eq!(got, pos.map(|i| model.entries[i].1));
+                        if let Some(i) = pos {
+                            model.hits += 1;
+                            let entry = model.entries.remove(i);
+                            model.entries.push(entry);
+                        }
                     }
                 }
                 prop_assert_eq!(

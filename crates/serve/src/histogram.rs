@@ -108,15 +108,16 @@ pub struct Quantiles {
 /// (non-cached) compiles.
 #[derive(Debug, Default)]
 pub struct StageHistograms {
-    /// End-to-end compile-request latency (cache hits included — that is
-    /// the point: hits pull the tail in).
+    /// Compile-request latency as each reply's `latency_sec` measures it
+    /// (cache hits included — that is the point: hits pull the tail in).
     pub total: LatencyHistogram,
     /// End-to-end latency of **accepted** (non-cached) compiles only.
     /// This is the population the shed retry hint must be derived from:
     /// under warm-hit-heavy traffic the total histogram's p50 collapses
     /// to microseconds and would tell shed clients to retry immediately.
     pub accepted: LatencyHistogram,
-    /// Admission-queue wait: admitted → dequeued by a worker.
+    /// Admission-queue wait: admitted → dequeued by a worker (misses
+    /// only; hits never queue).
     pub queue_wait: LatencyHistogram,
     /// Write-behind lag: save handed to the persister → file renamed
     /// into place.

@@ -3,9 +3,10 @@
 //! The batch compiler answers "compile these graphs once"; this crate
 //! answers "keep compiling graphs, fast, for as long as the process
 //! lives". A [`Server`] accepts newline-delimited JSON requests over a
-//! TCP socket (thread per connection) or stdin/stdout, admits compiles
-//! through a bounded queue, fans batches over [`mps::par`] workers, and
-//! layers two instances of one cache type, [`mps::SingleFlightCache`]:
+//! TCP socket (thread per connection) or stdin/stdout, answers cache
+//! hits on the connection thread, admits misses through a bounded queue
+//! to a pool of worker threads, and layers two instances of one cache
+//! type, [`mps::SingleFlightCache`]:
 //!
 //! * an **artifact cache**: whole [`mps::CompileResult`]s keyed by
 //!   `(graph content hash, config content hash)` — a repeated request is

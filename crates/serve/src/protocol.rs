@@ -262,7 +262,10 @@ pub struct CompileReply {
     pub engine: String,
     /// `true` when the result came from the artifact cache.
     pub cached: bool,
-    /// End-to-end server-side latency of this request, seconds.
+    /// Server-side compile latency of this request, seconds: from the
+    /// resolved request (a worker's dequeue, or an inline hit's cache
+    /// lookup) to its rendered reply. Graph resolution and admission-queue
+    /// wait are not included.
     pub latency_sec: f64,
     /// Selected patterns, one rendered pattern per entry.
     pub patterns: Vec<String>,
@@ -408,13 +411,16 @@ pub struct MetricsTotals {
 /// The serving histograms, summarized.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
-    /// End-to-end compile-request latency (cache hits included).
+    /// Compile latency of every compile request, cache hits included,
+    /// measured as each reply's `latency_sec` is (resolution and queue
+    /// wait left out).
     pub total: Quantiles,
     /// End-to-end latency of accepted (non-cached) compiles only — the
     /// population the shed `retry_after_ms` hint is derived from.
     pub accepted: Quantiles,
     /// Admission-queue wait of compile requests: admitted → dequeued by
-    /// a worker.
+    /// a worker. Only misses are admitted; cache hits are answered on the
+    /// connection thread and never counted here.
     #[serde(default)]
     pub queue_wait: Quantiles,
     /// Write-behind persistence lag per saved artifact or table: handed
@@ -544,7 +550,7 @@ pub struct ErrorReply {
     /// `"overloaded"` (shed at admission — retry after
     /// `retry_after_ms`), `"deadline"` (the request's `deadline_ms`
     /// ran out), `"cancelled"` (the compile was cancelled mid-flight),
-    /// `"internal"` (a worker panicked). `null` for ordinary protocol
+    /// `"internal"` (a compile panicked). `null` for ordinary protocol
     /// and pipeline errors.
     pub code: Option<String>,
     /// For `"overloaded"` sheds: a hint in milliseconds after which a
@@ -629,7 +635,7 @@ impl ErrorReply {
         }
     }
 
-    /// An internal server failure (a worker panicked); the request is
+    /// An internal server failure (a compile panicked); the request is
     /// answered rather than left hanging.
     pub fn internal(op: &str, id: Option<u64>, error: String) -> ErrorReply {
         ErrorReply {

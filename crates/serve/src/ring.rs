@@ -32,8 +32,9 @@ pub struct PeerRing {
     peers: Vec<(String, u64)>,
 }
 
-/// FNV-1a over a byte string; stable basis for member seeds.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over a byte string; stable basis for member seeds (and the
+/// server's registry-memo keys).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);

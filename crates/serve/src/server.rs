@@ -4,20 +4,19 @@
 //!
 //! One [`Server`] owns all serving state behind an `Arc`:
 //!
-//! * two instances of the one [`mps::SingleFlightCache`] type (sharded,
-//!   single-flight, optionally budgeted with LRU eviction): the artifact
-//!   cache of whole compiles, and underneath it the process-wide
+//! * three instances of the one [`mps::SingleFlightCache`] type
+//!   (sharded, single-flight, optionally budgeted with LRU eviction): the
+//!   artifact cache of whole compiles, underneath it the process-wide
 //!   [`mps::TableCache`] of pattern tables shared across *different*
-//!   configs of one graph,
-//! * a [`BoundedQueue`] admitting compile requests — a full queue
-//!   **sheds** (structured `overloaded` reply with a retry hint)
-//!   instead of blocking the connection thread, so overload degrades
-//!   into fast refusals rather than pile-ups,
+//!   configs of one graph, and a fixed-size memo of registry graphs,
+//! * **cache hits answered on the connection thread** that read them,
+//!   never queued, so a hit cannot wait or be shed behind a cold compile,
+//! * a [`BoundedQueue`] admitting the misses — a full queue **sheds**
+//!   (structured `overloaded` reply with a retry hint) instead of
+//!   blocking, so overload degrades into fast refusals, not pile-ups,
 //! * `workers` long-lived worker threads, each popping one job at a time
-//!   and replying to it on its own, so a cache hit never waits for a
-//!   cold compile admitted beside it and at most `workers` jobs run at
-//!   once (worker panics are contained per request and answered as
-//!   `internal` errors),
+//!   and replying to it on its own (worker panics are contained per
+//!   request and answered as `internal` errors),
 //! * with a `cache_dir`, one persister thread that writes the `cr-`
 //!   results and `pt-` tables to disk *after* the reply, fed through a
 //!   small bounded channel whose sends block when it is full (a save is
@@ -43,10 +42,10 @@
 //! one `overloaded` line and are closed). A [`FaultPlan`] can inject
 //! stage delays/failures, reply drops and slow reads for chaos tests.
 //!
-//! Control verbs (`stats`, `ping`, `peers`, `shutdown`) are answered
-//! inline by the connection thread — they must stay responsive while
-//! the queue is saturated. `shutdown` closes the queue, which gives
-//! clean draining for free: the workers finish everything already
+//! Control verbs (`stats`, `ping`, `peers`, `shutdown`) and cache hits
+//! are answered inline by the connection thread — they must stay
+//! responsive while the queue is saturated. `shutdown` closes the queue,
+//! which gives clean draining for free: the workers finish everything already
 //! admitted, then exit; new compiles are refused with an error reply.
 //! Joining the server then stops the persister after it has written
 //! every save handed to it, so a restart warm-loads everything that was
@@ -62,8 +61,9 @@
 //! replicate finished artifacts — including hinted handoff of results a
 //! non-owner computed while the owner was down. Owner unusable ⇒ the
 //! receiving daemon computes locally (`peer_failovers`) so the client
-//! is answered either way. Forwards, probes and handoffs all travel
-//! pooled persistent connections (`Fleet::round_trip`), so a hit
+//! is answered either way; a key held locally is answered inline, owner
+//! or not. Forwards, probes and handoffs all travel pooled persistent
+//! connections (`Fleet::round_trip`), so a hit
 //! forwarded to its owner costs one round trip, not a TCP dial. The
 //! prober sleeps on a condition variable until its next round, and
 //! `shutdown` wakes it.
@@ -88,9 +88,10 @@ use serde::Value;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Serving knobs. The defaults fit the CI smoke test and the integration
@@ -194,9 +195,11 @@ impl Default for ServeOptions {
 }
 
 /// Capacity of the channel from the workers and the table hook to the
-/// persister. A full channel blocks the sender: the bound caps how far
-/// the disk may lag the replies, and no save is ever dropped.
-const PERSIST_CHANNEL: usize = 4;
+/// persister. A full channel blocks the sender, so no save is dropped and
+/// the disk lags the replies by at most this many saves. The table hook
+/// sends from inside a compile, so the slots must absorb bursts of misses
+/// (two saves each) and slow fsyncs, or a miss waits on the disk.
+const PERSIST_CHANNEL: usize = 64;
 
 /// Most artifact pushes parked for an unreachable owner; beyond this
 /// the oldest is dropped (the owner recompiles on demand — handoff is
@@ -310,14 +313,31 @@ fn is_stale(e: &io::Error) -> bool {
     )
 }
 
-/// A compile request resolved to its graph, config and artifact key.
-/// The fleet path resolves once to route, and hands the result to the
-/// worker in its [`Job`] so the graph is not resolved and hashed twice.
+/// Most registry graphs the memo holds at once: a workload names few
+/// kernels, and a name past the cap only costs its rebuild.
+const REGISTRY_MEMO: usize = 64;
+
+/// Largest registry graph (in nodes) the memo keeps. Registry names are
+/// parametric, so this and [`REGISTRY_MEMO`] bound the memo's footprint;
+/// a larger graph is rebuilt per request, which its compile dwarfs.
+const REGISTRY_MEMO_NODES: usize = 4096;
+
+/// A compile request resolved to its graph, config and artifact key, once,
+/// on the connection thread; a miss carries it to its worker in its
+/// [`Job`], so the graph is not resolved and hashed twice.
 struct Resolved {
     workload: String,
-    dfg: mps::dfg::Dfg,
+    dfg: Arc<mps::dfg::Dfg>,
     cfg: CompileConfig,
     key: (u64, u64),
+}
+
+/// A memoised registry graph, under its name's FNV hash. The name confirms
+/// a lookup, so a hash collision rebuilds instead of serving another graph.
+struct RegistryGraph {
+    name: String,
+    dfg: Arc<mps::dfg::Dfg>,
+    hash: u64,
 }
 
 /// One forward attempt's outcome, as the failover policy needs it
@@ -333,12 +353,12 @@ enum Forwarded {
     Down(String),
 }
 
-/// One admitted compile: the request, its resolution when the fleet path
-/// already made it, when it was admitted, its deadline (absolute, fixed
-/// at admission) and the channel its reply line goes back on.
+/// One admitted compile: the request, its resolution, when it was
+/// admitted, its deadline (absolute, fixed at admission) and the channel
+/// its reply line goes back on.
 struct Job {
     req: Request,
-    resolved: Option<Resolved>,
+    resolved: Resolved,
     admitted: Instant,
     deadline: Option<Instant>,
     reply: mpsc::Sender<String>,
@@ -371,6 +391,8 @@ struct State {
     tables: Arc<TableCache>,
     /// Whole compiles keyed by `(graph hash, config hash)`.
     artifacts: SingleFlightCache<(u64, u64), CompileResult>,
+    /// Registry graphs by name hash, at most [`REGISTRY_MEMO`] of them.
+    registry: SingleFlightCache<u64, RegistryGraph>,
     probe: Option<StageProbe>,
     metrics: SharedStageMetrics,
     hist: StageHistograms,
@@ -409,19 +431,19 @@ struct State {
     /// Where `run_tcp` is listening (an unspecified IP mapped to
     /// loopback), so `shutdown` can wake its blocking `accept`.
     listen_addr: Mutex<Option<SocketAddr>>,
-    log: Mutex<Option<Box<dyn Write + Send>>>,
+    log: OnceLock<Mutex<Box<dyn Write + Send>>>,
 }
 
 impl State {
     /// Emit one JSON event line to the log sink, if one is installed.
-    fn log_event(&self, event: &str, fields: &[(&str, Value)]) {
-        let mut sink = self.log.lock().expect("log sink poisoned");
-        if let Some(w) = sink.as_mut() {
-            let mut map = vec![("event".to_string(), Value::Str(event.to_string()))];
-            map.extend(fields.iter().map(|(k, v)| (k.to_string(), v.clone())));
-            let _ = writeln!(w, "{}", crate::json::write(&Value::Map(map)));
-            let _ = w.flush();
-        }
+    /// `fields` runs only then, so an unlogged server builds nothing.
+    fn log_event(&self, event: &str, fields: impl FnOnce() -> Vec<(&'static str, Value)>) {
+        let Some(sink) = self.log.get() else { return };
+        let mut map = vec![("event".to_string(), Value::Str(event.to_string()))];
+        map.extend(fields().into_iter().map(|(k, v)| (k.to_string(), v)));
+        let mut w = sink.lock().expect("log sink poisoned");
+        let _ = writeln!(w, "{}", crate::json::write(&Value::Map(map)));
+        let _ = w.flush();
     }
 
     /// Handle one request line end to end. Returns the reply line and
@@ -449,7 +471,7 @@ impl State {
             "stats" => (encode(&self.stats_reply(req.id)), false),
             "shutdown" => {
                 self.begin_shutdown();
-                self.log_event("shutdown", &[]);
+                self.log_event("shutdown", Vec::new);
                 (
                     encode(&ShutdownReply {
                         ok: true,
@@ -509,26 +531,14 @@ impl State {
             .max(10.0) as u64
     }
 
-    /// Admit a compile through the bounded queue and wait for its
-    /// reply. A full queue sheds with an `overloaded` reply; a request
-    /// whose deadline already passed is refused without queueing.
-    /// `resolved` is the request's resolution when the caller already
-    /// made one; without it the worker resolves.
-    fn admit_compile(self: &Arc<State>, req: Request, resolved: Option<Resolved>) -> String {
+    /// Admit a resolved miss through the bounded queue and wait for its
+    /// reply. A full queue sheds with an `overloaded` reply.
+    fn admit_compile(self: &Arc<State>, req: Request, resolved: Resolved) -> String {
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let id = req.id;
         let deadline = req
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.deadline_hits.fetch_add(1, Ordering::Relaxed);
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            return encode(&ErrorReply::deadline(
-                "compile",
-                id,
-                "deadline expired before admission".to_string(),
-            ));
-        }
         let (tx, rx) = mpsc::channel();
         match self.queue.try_push(Job {
             req,
@@ -542,7 +552,7 @@ impl State {
                 self.sheds.fetch_add(1, Ordering::Relaxed);
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 let hint = self.retry_after_hint();
-                self.log_event("shed", &[("retry_after_ms", Value::U64(hint))]);
+                self.log_event("shed", || vec![("retry_after_ms", Value::U64(hint))]);
                 return encode(&ErrorReply::overloaded("compile", id, hint));
             }
             Err(PushError::Closed(_)) => {
@@ -565,9 +575,11 @@ impl State {
         }
     }
 
-    /// Route one compile through the fleet: forward it to its rendezvous
-    /// owner, or compute locally (degenerate fleet, local ownership,
-    /// warm local replica, forwarded hop, or failover).
+    /// The single compile entry, on the connection thread. In order:
+    /// refuse an expired deadline or a draining server; resolve once
+    /// (errors answer here); answer a published key inline, owner or not.
+    /// Only a miss is routed: forwarded to its owner, or admitted locally
+    /// (no fleet, local ownership, a forwarded hop, or failover).
     ///
     /// Failover policy, in order: an **ejected** owner is not dialed at
     /// all; a **down** owner (dial/read failure, forward deadline,
@@ -578,29 +590,37 @@ impl State {
     /// failover computes locally, answers the client, and owes the owner
     /// a copy of the artifact ([`State::handoff`]).
     fn fleet_compile(self: &Arc<State>, req: Request) -> String {
-        let Some(fleet) = &self.fleet else {
-            return self.admit_compile(req, None);
-        };
-        if req.forwarded {
-            // One hop max: a forwarded compile is computed here, always.
-            return self.admit_compile(req, None);
+        let t0 = Instant::now();
+        let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            self.deadline_hits.fetch_add(1, Ordering::Relaxed);
+            let error = "deadline expired before admission".to_string();
+            return self.refuse(ErrorReply::deadline("compile", req.id, error));
         }
-        let Some(resolved) = self.resolve_compile(&req) else {
-            // Malformed compiles take the local path for its error replies.
-            return self.admit_compile(req, None);
+        if self.shutdown.load(Ordering::SeqCst) {
+            return self.refuse(ErrorReply::shutting_down("compile", req.id));
+        }
+        // This runs on the connection thread, so a panic is contained
+        // here, as a worker contains one, not left to end the connection
+        // (or, under `run_stdio`, the process).
+        let run = std::panic::AssertUnwindSafe(|| self.resolve_or_answer(&req, t0));
+        let resolved = match std::panic::catch_unwind(run) {
+            Ok(ControlFlow::Continue(resolved)) => resolved,
+            Ok(ControlFlow::Break(reply)) => return reply,
+            Err(_) => {
+                let error = "compile panicked before admission".to_string();
+                return self.refuse(ErrorReply::internal("compile", req.id, error));
+            }
         };
         let key = resolved.key;
-        let Owner::Peer(owner) = fleet.ring.owner_of(key) else {
-            return self.admit_compile(req, Some(resolved));
+        let fleet = match &self.fleet {
+            Some(fleet) if !req.forwarded => fleet,
+            // One hop max: a forwarded compile is computed here, always.
+            _ => return self.admit_compile(req, resolved),
         };
-        if self.artifacts.peek(key).is_some() {
-            // A replica already lives here (earlier failover or handoff):
-            // answering locally beats a forward hop.
-            return self.admit_compile(req, Some(resolved));
-        }
-        let deadline = req
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
+        let Owner::Peer(owner) = fleet.ring.owner_of(key) else {
+            return self.admit_compile(req, resolved);
+        };
         if fleet.table.is_forwardable(&owner) {
             let mut fwd = req.clone();
             fwd.forwarded = true;
@@ -630,41 +650,46 @@ impl State {
                 }
                 Forwarded::Down(error) => {
                     fleet.table.record_failure(&owner);
-                    self.log_event(
-                        "peer_down",
-                        &[
+                    self.log_event("peer_down", || {
+                        vec![
                             ("peer", Value::Str(owner.clone())),
                             ("error", Value::Str(error)),
-                        ],
-                    );
+                        ]
+                    });
                 }
             }
         }
         self.peer_failovers.fetch_add(1, Ordering::Relaxed);
-        let reply = self.admit_compile(req, Some(resolved));
+        let reply = self.admit_compile(req, resolved);
         self.handoff(key, &owner);
         reply
     }
 
-    /// Resolve a compile request to its graph, config and artifact key,
-    /// or `None` when the request is malformed (wrong workload, bad
-    /// config — the local compile path renders those errors properly).
-    fn resolve_compile(&self, req: &Request) -> Option<Resolved> {
-        let (workload, dfg) = self.resolve_graph(req).ok()?;
-        let cfg = req.compile_config().ok()?;
-        let key = (dfg.content_hash(), cfg.content_hash());
-        Some(Resolved {
-            workload,
-            dfg,
-            cfg,
-            key,
-        })
+    /// Resolve a compile and answer it here when it needs no worker: a
+    /// malformed request gets its error reply, a published key its cached
+    /// reply. `Continue` carries a miss on to be routed.
+    fn resolve_or_answer(&self, req: &Request, t0: Instant) -> ControlFlow<String, Resolved> {
+        let resolved = match self.resolve(req) {
+            Ok(resolved) => resolved,
+            Err(reply) => {
+                self.log_compile(req, t0, false, Some(&reply.error));
+                return ControlFlow::Break(self.refuse(*reply));
+            }
+        };
+        let Some(outcome) = self.artifacts.get(resolved.key) else {
+            return ControlFlow::Continue(resolved);
+        };
+        // Timed from here, as a worker times a miss from its dequeue.
+        let (reply, _) = self.compile_reply(req, &resolved, Instant::now(), outcome, true);
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        ControlFlow::Break(reply)
     }
 
-    /// The artifact-cache key a compile request resolves to, or `None`
-    /// when the request is malformed.
-    fn compile_key(&self, req: &Request) -> Option<(u64, u64)> {
-        self.resolve_compile(req).map(|r| r.key)
+    /// Count and render a compile refused before admission.
+    fn refuse(&self, reply: ErrorReply) -> String {
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        encode(&reply)
     }
 
     /// One forward attempt against `addr` on a pooled connection: send,
@@ -761,10 +786,9 @@ impl State {
         let mut pending = fleet.pending.lock().expect("handoff buffer poisoned");
         if pending.len() >= PENDING_HANDOFFS_MAX {
             pending.remove(0);
-            self.log_event(
-                "handoff_dropped",
-                &[("peer", Value::Str(owner.to_string()))],
-            );
+            self.log_event("handoff_dropped", || {
+                vec![("peer", Value::Str(owner.to_string()))]
+            });
         }
         pending.push((owner.to_string(), artifact));
     }
@@ -809,7 +833,7 @@ impl State {
                     let revived = fleet.table.state_of(&addr) == Some(PeerState::Ejected);
                     fleet.table.record_success(&addr);
                     if revived {
-                        self.log_event("peer_revived", &[("peer", Value::Str(addr.clone()))]);
+                        self.log_event("peer_revived", || vec![("peer", Value::Str(addr.clone()))]);
                     }
                     self.flush_handoffs(&addr);
                 }
@@ -818,13 +842,12 @@ impl State {
                     fleet.table.record_failure(&addr);
                     let now_ejected = fleet.table.state_of(&addr) == Some(PeerState::Ejected);
                     if now_ejected && !was_ejected {
-                        self.log_event(
-                            "peer_ejected",
-                            &[
+                        self.log_event("peer_ejected", || {
+                            vec![
                                 ("peer", Value::Str(addr.clone())),
                                 ("error", Value::Str(error)),
-                            ],
-                        );
+                            ]
+                        });
                     }
                 }
             }
@@ -858,7 +881,9 @@ impl State {
         let mut graph_hash = None;
         let mut config_hash = None;
         if req.workload.is_some() || req.graph.is_some() {
-            if let Some(key) = self.compile_key(req) {
+            // Resolve panics are contained here too: no owner is reported.
+            let run = std::panic::AssertUnwindSafe(|| self.resolve(req));
+            if let Ok(Ok(Resolved { key, .. })) = std::panic::catch_unwind(run) {
                 graph_hash = Some(format!("{:016x}", key.0));
                 config_hash = Some(format!("{:016x}", key.1));
                 owner = Some(match &self.fleet {
@@ -983,9 +1008,7 @@ impl State {
                 None,
             );
         }
-        let run = std::panic::AssertUnwindSafe(|| {
-            self.compile_line(&job.req, job.resolved.as_ref(), job.deadline)
-        });
+        let run = std::panic::AssertUnwindSafe(|| self.compile_line(job));
         std::panic::catch_unwind(run).unwrap_or_else(|_| {
             self.errors.fetch_add(1, Ordering::Relaxed);
             let error = "compile worker panicked".to_string();
@@ -996,56 +1019,17 @@ impl State {
         })
     }
 
-    /// Run one compile request (on a worker thread) and render its reply,
-    /// plus the save a fresh result owes the disk tier. The request is
-    /// resolved here unless the fleet path already did.
-    fn compile_line(
-        &self,
-        req: &Request,
-        resolved: Option<&Resolved>,
-        deadline: Option<Instant>,
-    ) -> (String, Option<Save>) {
+    /// Run one dequeued compile on a worker thread and render its reply,
+    /// plus the save a fresh result owes the disk tier.
+    fn compile_line(&self, job: &Job) -> (String, Option<Save>) {
+        let (req, resolved) = (&job.req, &job.resolved);
         let t0 = Instant::now();
-        let local;
-        let resolved = match resolved {
-            Some(r) => r,
-            None => {
-                let (workload, dfg) = match self.resolve_graph(req) {
-                    Ok(pair) => pair,
-                    Err(reply) => {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        self.log_compile(req, t0, false, Some(&reply.error));
-                        return (encode(&*reply), None);
-                    }
-                };
-                let cfg = match req.compile_config() {
-                    Ok(cfg) => cfg,
-                    Err(error) => {
-                        self.errors.fetch_add(1, Ordering::Relaxed);
-                        self.log_compile(req, t0, false, Some(&error));
-                        return (
-                            encode(&ErrorReply::protocol("compile", req.id, error)),
-                            None,
-                        );
-                    }
-                };
-                let key = (dfg.content_hash(), cfg.content_hash());
-                local = Resolved {
-                    workload,
-                    dfg,
-                    cfg,
-                    key,
-                };
-                &local
-            }
-        };
         let key = resolved.key;
-        let engine = resolved.cfg.engine.name().to_string();
-        let cancel = deadline.map(CancelToken::deadline_at);
+        let cancel = job.deadline.map(CancelToken::deadline_at);
         let fetched = self.artifacts.get_or_compute(key, cancel.as_ref(), || {
             // Only a miss needs the graph by value; a hit clones nothing.
             let mut session = Session::with_shared_tables(
-                resolved.dfg.clone(),
+                mps::dfg::Dfg::clone(&resolved.dfg),
                 resolved.cfg.clone(),
                 Arc::clone(&self.tables),
             );
@@ -1073,6 +1057,23 @@ impl State {
                 return (reply, None);
             }
         };
+        self.compile_reply(req, resolved, t0, outcome, cached)
+    }
+
+    /// Render a compile's reply from its outcome and record its latency
+    /// since `t0` (a worker's dequeue, or an inline hit's lookup; resolve
+    /// and queue wait are not part of it), plus the save a fresh result
+    /// owes the disk.
+    fn compile_reply(
+        &self,
+        req: &Request,
+        resolved: &Resolved,
+        t0: Instant,
+        outcome: Result<Arc<CompileResult>, mps::MpsError>,
+        cached: bool,
+    ) -> (String, Option<Save>) {
+        let key = resolved.key;
+        let engine = resolved.cfg.engine.name().to_string();
         let latency_sec = t0.elapsed().as_secs_f64();
         self.hist.total.record(latency_sec);
         if !cached {
@@ -1122,41 +1123,69 @@ impl State {
         }
     }
 
-    /// Resolve the request's graph source: registry name or inline text.
-    fn resolve_graph(&self, req: &Request) -> Result<(String, mps::dfg::Dfg), Box<ErrorReply>> {
-        match (&req.workload, &req.graph) {
-            (Some(_), Some(_)) => Err(Box::new(ErrorReply::protocol(
-                "compile",
-                req.id,
-                "\"workload\" and \"graph\" are mutually exclusive".to_string(),
-            ))),
-            (None, None) => Err(Box::new(ErrorReply::protocol(
-                "compile",
-                req.id,
-                "compile needs a \"workload\" name or \"graph\" text".to_string(),
-            ))),
-            (Some(name), None) => match mps::workloads::by_name(name) {
-                Some(dfg) => Ok((name.clone(), dfg)),
-                None => Err(Box::new(ErrorReply::protocol(
-                    "compile",
-                    req.id,
-                    format!("unknown workload \"{name}\""),
-                ))),
-            },
-            (None, Some(text)) => match mps::dfg::parse_text(text) {
-                Ok(dfg) => Ok(("inline".to_string(), dfg)),
+    /// Resolve a compile request to its graph (registry name or inline
+    /// text), config and artifact key, or the error reply a malformed
+    /// request gets.
+    fn resolve(&self, req: &Request) -> Result<Resolved, Box<ErrorReply>> {
+        let protocol =
+            |error: &str| Box::new(ErrorReply::protocol("compile", req.id, error.into()));
+        let (workload, dfg, graph_hash) = match (&req.workload, &req.graph) {
+            (Some(name), None) => {
+                let graph = self
+                    .registry_graph(name)
+                    .ok_or_else(|| protocol(&format!("unknown workload \"{name}\"")))?;
+                (name.clone(), Arc::clone(&graph.dfg), graph.hash)
+            }
+            (None, Some(text)) => {
                 // Parse failures are pipeline errors: they carry the
                 // analyze-stage provenance the wire promises.
-                Err(e) => Err(Box::new(ErrorReply::pipeline("compile", req.id, &e.into()))),
-            },
+                let dfg = mps::dfg::parse_text(text)
+                    .map_err(|e| Box::new(ErrorReply::pipeline("compile", req.id, &e.into())))?;
+                let hash = dfg.content_hash();
+                ("inline".to_string(), Arc::new(dfg), hash)
+            }
+            (Some(_), Some(_)) => Err(protocol(
+                "\"workload\" and \"graph\" are mutually exclusive",
+            ))?,
+            (None, None) => Err(protocol(
+                "compile needs a \"workload\" name or \"graph\" text",
+            ))?,
+        };
+        let cfg = req.compile_config().map_err(|e| protocol(&e))?;
+        let key = (graph_hash, cfg.content_hash());
+        Ok(Resolved {
+            workload,
+            dfg,
+            cfg,
+            key,
+        })
+    }
+
+    /// The registry graph `name` names with its content hash, memoised on
+    /// first use unless it has more than [`REGISTRY_MEMO_NODES`] nodes;
+    /// `None` for an unknown name, which is never memoised.
+    fn registry_graph(&self, name: &str) -> Option<Arc<RegistryGraph>> {
+        let key = crate::ring::fnv1a(name.as_bytes());
+        let memo = self.registry.get(key).and_then(Result::ok);
+        if let Some(graph) = memo.filter(|graph| graph.name == name) {
+            return Some(graph);
         }
+        let dfg = mps::workloads::by_name(name)?;
+        let graph = Arc::new(RegistryGraph {
+            name: name.to_string(),
+            hash: dfg.content_hash(),
+            dfg: Arc::new(dfg),
+        });
+        if graph.dfg.len() <= REGISTRY_MEMO_NODES {
+            self.registry.seed(key, Ok(Arc::clone(&graph)));
+        }
+        Some(graph)
     }
 
     fn log_compile(&self, req: &Request, t0: Instant, cached: bool, error: Option<&str>) {
-        let workload = req.workload.clone().unwrap_or_else(|| "inline".to_string());
-        self.log_event(
-            "compile",
-            &[
+        self.log_event("compile", || {
+            let workload = req.workload.clone().unwrap_or_else(|| "inline".to_string());
+            vec![
                 ("workload", Value::Str(workload)),
                 ("cached", Value::Bool(cached)),
                 ("ok", Value::Bool(error.is_none())),
@@ -1165,8 +1194,8 @@ impl State {
                     error.map_or(Value::Unit, |e| Value::Str(e.to_string())),
                 ),
                 ("latency_sec", Value::F64(t0.elapsed().as_secs_f64())),
-            ],
-        );
+            ]
+        });
     }
 
     fn stats_reply(&self, id: Option<u64>) -> StatsReply {
@@ -1301,7 +1330,9 @@ impl State {
                     store.enforce_budget_indexed(max_entries, max_bytes);
                 }
                 Err(e) => {
-                    self.log_event("persist_error", &[("error", Value::Str(e.to_string()))]);
+                    self.log_event("persist_error", || {
+                        vec![("error", Value::Str(e.to_string()))]
+                    });
                 }
             }
         }
@@ -1422,6 +1453,13 @@ impl Server {
             started: Instant::now(),
             tables,
             artifacts,
+            registry: SingleFlightCache::new(
+                CacheBudget {
+                    max_entries: Some(REGISTRY_MEMO),
+                    max_bytes: None,
+                },
+                |_| 0,
+            ),
             fleet,
             probe: opts.faults.stage_probe(),
             metrics: SharedStageMetrics::new(),
@@ -1449,7 +1487,7 @@ impl Server {
             shutdown: AtomicBool::new(false),
             prober_sleep: (Mutex::new(()), Condvar::new()),
             listen_addr: Mutex::new(None),
-            log: Mutex::new(None),
+            log: OnceLock::new(),
             opts,
         });
         let workers = (0..state.opts.workers.max(1))
@@ -1496,11 +1534,14 @@ impl Server {
     /// `shutdown` events; one object per line). Logs the `boot` event
     /// immediately.
     pub fn set_log(&self, sink: Box<dyn Write + Send>) {
-        *self.state.log.lock().expect("log sink poisoned") = Some(sink);
-        self.state.log_event(
-            "boot",
-            &[("workers", Value::U64(self.state.opts.workers as u64))],
-        );
+        let log = self
+            .state
+            .log
+            .get_or_init(|| Mutex::new(Box::new(io::sink())));
+        *log.lock().expect("log sink poisoned") = sink;
+        let workers = self.state.opts.workers as u64;
+        self.state
+            .log_event("boot", || vec![("workers", Value::U64(workers))]);
     }
 
     /// Handle one request line, returning the reply line (no trailing
@@ -1629,6 +1670,20 @@ impl Drop for Server {
     }
 }
 
+/// Line-buffer capacity a connection keeps between requests.
+const LINE_BUF_KEEP: usize = 64 * 1024;
+
+/// Empty a connection's line buffer for the next request, dropping its
+/// allocation instead when a large line grew it past [`LINE_BUF_KEEP`],
+/// so an idle connection never pins a near-cap buffer.
+fn reset_line(buf: &mut String) {
+    if buf.capacity() > LINE_BUF_KEEP {
+        *buf = String::new();
+    } else {
+        buf.clear();
+    }
+}
+
 /// One TCP connection: read request lines (with a poll timeout so the
 /// thread notices server shutdown while idle), answer each on the same
 /// stream. Hygiene: lines over `max_line_bytes` and clients stalled
@@ -1659,19 +1714,21 @@ fn serve_conn(state: &Arc<State>, stream: TcpStream) {
         match reader.read_line(&mut buf) {
             Ok(0) => break, // client hung up
             Ok(_) => {
-                let line = std::mem::take(&mut buf);
                 line_started = None;
-                if line.len() > max_line {
+                if buf.len() > max_line {
                     overlong(&mut writer);
                     break;
                 }
-                if line.trim().is_empty() {
+                let line = buf.trim_end();
+                if line.is_empty() {
+                    reset_line(&mut buf);
                     continue;
                 }
                 if let Some(ms) = state.opts.faults.slow_read_ms {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
-                let (reply, quit) = state.handle_line(line.trim_end());
+                let (reply, quit) = state.handle_line(line);
+                reset_line(&mut buf);
                 if let Some(every) = state.opts.faults.drop_reply_every {
                     let nth = state.replies.fetch_add(1, Ordering::Relaxed) + 1;
                     if nth.is_multiple_of(every) {
@@ -1783,6 +1840,179 @@ mod tests {
         assert_eq!(stats.table_builds, 1);
         assert_eq!(stats.latency.total.count, 2);
         assert_eq!((stats.sheds, stats.deadline_exceeded), (0, 0));
+    }
+
+    #[test]
+    fn inline_hits_count_as_compiles_but_never_queue() {
+        let server = Server::new(one_worker());
+        for _ in 0..5 {
+            server.handle_line(r#"{"op":"compile","workload":"fig4"}"#);
+        }
+        // A malformed compile gets its error reply without queueing.
+        let (reply, _) = server.handle_line(r#"{"op":"compile","workload":"no-such"}"#);
+        assert!(matches!(Reply::from_line(&reply).unwrap(), Reply::Error(_)));
+        let stats = server.stats();
+        assert_eq!((stats.compiles, stats.errors), (6, 1));
+        assert_eq!(stats.artifact_cache_hits, 4);
+        assert_eq!(stats.latency.total.count, 5, "hits are timed too");
+        assert_eq!(stats.latency.accepted.count, 1);
+        assert_eq!(stats.latency.queue_wait.count, 1, "only the miss queued");
+    }
+
+    #[test]
+    fn cached_keys_still_get_admission_refusals() {
+        let server = Server::new(one_worker());
+        let compile = r#"{"op":"compile","workload":"fig4"}"#;
+        server.handle_line(compile);
+        // An expired deadline is refused before the cache is consulted,
+        // with the counters an uncached key gets.
+        let (reply, _) =
+            server.handle_line(r#"{"op":"compile","workload":"fig4","deadline_ms":0,"id":4}"#);
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Error(e) if e.code.as_deref() == Some("deadline") && e.id == Some(4)
+        ));
+        let stats = server.stats();
+        assert_eq!(
+            (stats.compiles, stats.errors, stats.deadline_exceeded),
+            (2, 1, 1)
+        );
+        assert_eq!(
+            (stats.artifact_cache_hits, stats.latency.total.count),
+            (0, 1)
+        );
+        // A draining server refuses a cached key as well.
+        server.handle_line(r#"{"op":"shutdown"}"#);
+        let (reply, _) = server.handle_line(compile);
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Error(e) if e.error.contains("shutting down")
+                && e.code.as_deref() == Some("shutting_down")
+        ));
+        let stats = server.stats();
+        assert_eq!((stats.compiles, stats.errors), (3, 2));
+        assert_eq!(stats.artifact_cache_hits, 0);
+    }
+
+    fn by_name(name: &str) -> Request {
+        Request {
+            op: "compile".to_string(),
+            workload: Some(name.to_string()),
+            ..Request::default()
+        }
+    }
+
+    #[test]
+    fn registry_memo_holds_known_names_within_its_cap() {
+        let server = Server::new(one_worker());
+        let state = &server.state;
+        // Two names resolve to two entries; a repeat shares its graph.
+        let fig4 = state.resolve(&by_name("fig4")).expect("fig4");
+        state.resolve(&by_name("fig2")).expect("fig2");
+        let again = state.resolve(&by_name("fig4")).expect("fig4");
+        assert!(Arc::ptr_eq(&fig4.dfg, &again.dfg));
+        assert_eq!(fig4.key.0, mps::workloads::fig4().content_hash());
+        assert_eq!(state.registry.len(), 2);
+        // Unknown names store nothing.
+        assert!(state.resolve(&by_name("no-such")).is_err());
+        assert_eq!(state.registry.len(), 2);
+        // The cap holds: older names are evicted, least recently used first.
+        for taps in 1..=REGISTRY_MEMO + 8 {
+            state
+                .resolve(&by_name(&format!("fir{taps}")))
+                .expect("fir kernel");
+            assert!(state.registry.len() <= REGISTRY_MEMO);
+        }
+        assert_eq!(state.registry.len(), REGISTRY_MEMO);
+        assert_eq!(state.registry.evictions(), 10);
+        // A graph over the node limit is served but never stored.
+        let big = state.resolve(&by_name("fir4096")).expect("fir4096");
+        assert!(big.dfg.len() > REGISTRY_MEMO_NODES);
+        let rebuilt = state.resolve(&by_name("fir4096")).expect("fir4096");
+        assert!(!Arc::ptr_eq(&big.dfg, &rebuilt.dfg));
+        assert_eq!(big.key, rebuilt.key);
+        assert_eq!(state.registry.len(), REGISTRY_MEMO);
+        assert_eq!(state.registry.evictions(), 10);
+    }
+
+    #[test]
+    fn a_panicking_resolve_is_answered_and_the_server_keeps_serving() {
+        let server = Server::new(one_worker());
+        // Building this kernel overflows a capacity computation and panics.
+        let (reply, quit) =
+            server.handle_line(r#"{"op":"compile","workload":"fir18446744073709551615","id":3}"#);
+        assert!(!quit);
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Error(e) if e.code.as_deref() == Some("internal") && e.id == Some(3)
+        ));
+        let (reply, _) = server.handle_line(r#"{"op":"compile","workload":"fig4"}"#);
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Compile(_)
+        ));
+        let stats = server.stats();
+        assert_eq!((stats.compiles, stats.errors), (2, 1));
+        // `peers` resolves on the connection thread as well.
+        let (reply, _) =
+            server.handle_line(r#"{"op":"peers","workload":"fir18446744073709551615"}"#);
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Peers(p) if p.ok && p.owner.is_none()
+        ));
+    }
+
+    #[test]
+    fn registry_memo_confirms_the_name_behind_a_hash() {
+        let server = Server::new(one_worker());
+        let state = &server.state;
+        // Plant fig2 under fig4's key, as a hash collision would.
+        let fig2 = mps::workloads::fig2();
+        let planted = RegistryGraph {
+            name: "fig2".to_string(),
+            hash: fig2.content_hash(),
+            dfg: Arc::new(fig2),
+        };
+        let key = crate::ring::fnv1a(b"fig4");
+        assert!(state.registry.seed(key, Ok(Arc::new(planted))));
+        let resolved = state.resolve(&by_name("fig4")).expect("fig4");
+        assert_eq!(resolved.key.0, mps::workloads::fig4().content_hash());
+    }
+
+    /// A reply line with its measured `latency_sec` value zeroed.
+    fn without_latency(line: &str) -> String {
+        let (head, tail) = line
+            .split_once("\"latency_sec\":")
+            .expect("a latency field");
+        let rest = &tail[tail.find([',', '}']).expect("a field after latency")..];
+        format!("{head}\"latency_sec\":0{rest}")
+    }
+
+    /// By-name cache-hit replies as the server rendered them before hits
+    /// were answered on the connection thread, `latency_sec` zeroed.
+    const HIT_GOLDENS: [(&str, &str); 3] = [
+        (
+            r#"{"op":"compile","workload":"fig4","id":7}"#,
+            r#"{"ok":true,"op":"compile","id":7,"workload":"fig4","graph_hash":"8f02f411c94ad84f","config_hash":"34573ca9477bab70","engine":"eq8","cached":true,"latency_sec":0,"patterns":["aa","bb"],"cycles":3,"schedule":"schedule (3 cycles):\n  cycle   1 [aa]: n0 n2\n  cycle   2 [aa]: n1\n  cycle   3 [bb]: n4 n3\n","ii":null,"switches":null,"exec_cycles":null,"fabric_tiles":null,"fabric_transfers":null,"fabric_cycles":null}"#,
+        ),
+        (
+            r#"{"op":"compile","workload":"fig2","span":1,"fabric":"4@2","id":8}"#,
+            r#"{"ok":true,"op":"compile","id":8,"workload":"fig2","graph_hash":"06c6bf64851e66f3","config_hash":"f12e8a615ab4d770","engine":"eq8","cached":true,"latency_sec":0,"patterns":["aaacc","aabcc","aaaaa","aaccc"],"cycles":14,"schedule":"schedule (14 cycles):\n  cycle   1 [aabcc]: n16 n1 n0\n  cycle   2 [aabcc]: n15\n  cycle   3 [aabcc]: n14\n  cycle   4 [aabcc]: n17\n  cycle   5 [aaacc]: n20 n19 n13 n5\n  cycle   6 [aaacc]: n18\n  cycle   7 [aaacc]: n22 n2\n  cycle   8 [aaacc]: n3 n21 n7\n  cycle   9 [aaacc]: n23\n  cycle  10 [aaacc]: n4\n  cycle  11 [aaacc]: n8\n  cycle  12 [aaacc]: n6 n11\n  cycle  13 [aaacc]: n9 n10\n  cycle  14 [aaacc]: n12\n","ii":null,"switches":null,"exec_cycles":null,"fabric_tiles":4,"fabric_transfers":14,"fabric_cycles":10}"#,
+        ),
+        (
+            r#"{"op":"compile","workload":"dft5","pdef":4,"alus":5,"id":9}"#,
+            r#"{"ok":true,"op":"compile","id":9,"workload":"dft5","graph_hash":"bb63592fcc4ca801","config_hash":"be9ed3da5d80f4ac","engine":"eq8","cached":true,"latency_sec":0,"patterns":["abbcc","aabbc","aabcc","abbbc"],"cycles":11,"schedule":"schedule (11 cycles):\n  cycle   1 [aabbc]: n3 n2 n7 n6\n  cycle   2 [aabbc]: n1 n0 n5 n4 n23\n  cycle   3 [aabbc]: n9 n8 n15 n14 n25\n  cycle   4 [aabcc]: n19 n18 n13 n12\n  cycle   5 [aabcc]: n11 n10 n21 n20\n  cycle   6 [abbcc]: n17 n16 n27 n26\n  cycle   7 [abbcc]: n24 n22 n34 n30 n29\n  cycle   8 [abbbc]: n35 n31 n33 n28\n  cycle   9 [aabbc]: n32 n43 n39 n37\n  cycle  10 [aabbc]: n42 n41 n38 n36\n  cycle  11 [abbcc]: n40\n","ii":null,"switches":null,"exec_cycles":11,"fabric_tiles":null,"fabric_transfers":null,"fabric_cycles":null}"#,
+        ),
+    ];
+
+    #[test]
+    fn inline_hit_replies_keep_their_wire_bytes() {
+        let server = Server::new(one_worker());
+        for (line, golden) in HIT_GOLDENS {
+            server.handle_line(line);
+            let (hit, _) = server.handle_line(line);
+            assert_eq!(without_latency(&hit), golden, "{line}");
+        }
     }
 
     #[test]
@@ -2083,7 +2313,7 @@ mod tests {
                 ..Request::default()
             })
             .find(|req| {
-                let key = non_owner.state.compile_key(req).expect("valid request");
+                let key = non_owner.state.resolve(req).expect("valid request").key;
                 matches!(fleet.ring.owner_of(key), Owner::Peer(_))
             })
             .expect("some pdef hashes to the peer");
@@ -2227,7 +2457,7 @@ mod tests {
                     ..Request::default()
                 })
                 .find(|req| {
-                    let key = server.state.compile_key(req).expect("valid request");
+                    let key = server.state.resolve(req).expect("valid request").key;
                     matches!(fleet.ring.owner_of(key), Owner::Peer(_))
                 })
                 .expect("some pdef hashes to the peer");

@@ -479,13 +479,22 @@ fn shutdown_drains_and_refuses_new_work() {
     server.finish();
 }
 
-/// A cache hit never waits for a cold compile admitted before it: with
-/// two workers, one is free to answer the hit while the other spends
-/// ~300 ms in an injected select-stage delay.
+/// A cache hit never waits for a cold compile: it is answered on the
+/// connection thread that read it, without queueing. Each cold compile
+/// spends ~300 ms in an injected select-stage delay. With two workers one
+/// of them runs the cold compile; with one worker and a one-slot queue,
+/// the worker is busy and a second cold compile fills the queue, so a hit
+/// that went through admission would be shed.
 #[test]
 fn cached_hit_answers_while_a_cold_compile_runs() {
+    hit_answers_behind_cold_compiles(2, 64, &["fig2"]);
+    hit_answers_behind_cold_compiles(1, 1, &["fig2", "dft3"]);
+}
+
+fn hit_answers_behind_cold_compiles(workers: usize, queue: usize, cold: &[&str]) {
     let (addr, server) = spawn_loopback(ServeOptions {
-        workers: 2,
+        workers,
+        queue,
         faults: FaultPlan {
             delay_stage: Some((mps::Stage::Select, 300)),
             ..FaultPlan::default()
@@ -502,16 +511,28 @@ fn cached_hit_answers_while_a_cold_compile_runs() {
     assert!(!compile_reply(&mut client, &compile("fig4")).cached);
 
     std::thread::scope(|scope| {
-        let cold = scope.spawn(|| compile_reply(&mut connect(addr), &compile("fig2")));
-        // Wait until the cold compile has started (its miss is counted
-        // when it claims the single-flight slot).
-        let started = Instant::now();
-        while client.stats().expect("stats").artifact_cache_misses < 2 {
-            assert!(
-                started.elapsed() < Duration::from_secs(10),
-                "cold compile never began"
-            );
-            std::thread::sleep(Duration::from_millis(1));
+        let mut colds = Vec::new();
+        for (i, name) in cold.iter().enumerate() {
+            let req = compile(name);
+            colds.push(scope.spawn(move || compile_reply(&mut connect(addr), &req)));
+            // Wait until the first `workers` cold compiles run (a miss is
+            // counted when a worker claims its single-flight slot) and the
+            // rest are queued, so no two of them race for the queue.
+            let (running, queued) = ((i + 1).min(workers), (i + 1).saturating_sub(workers));
+            let started = Instant::now();
+            loop {
+                let stats = client.stats().expect("stats");
+                if stats.artifact_cache_misses > running as u64
+                    && stats.queue_depth >= queued as u64
+                {
+                    break;
+                }
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "cold compile {name} never began"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
         let t0 = Instant::now();
         let hit = compile_reply(&mut client, &compile("fig4"));
@@ -519,11 +540,15 @@ fn cached_hit_answers_while_a_cold_compile_runs() {
         assert!(hit.cached);
         assert!(
             waited < Duration::from_millis(100),
-            "the hit waited {waited:?} behind the cold compile"
+            "the hit waited {waited:?} behind the cold compiles (workers {workers})"
         );
-        let cold = cold.join().expect("cold client");
-        assert!(!cold.cached);
+        for cold in colds {
+            assert!(!cold.join().expect("cold client").cached);
+        }
     });
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.sheds, 0, "nothing was shed (workers {workers})");
+    assert_eq!(stats.latency.queue_wait.count, 1 + cold.len() as u64);
     client.shutdown().expect("shutdown ack");
     server.join().expect("server thread");
 }
