@@ -91,7 +91,7 @@ pub use session::{
     Analysis, CompileConfig, CompileResult, Enumerated, FabricMapped, FabricScheduled, Mapped,
     Partitioned, Scheduled, Selected, Session, StageProbe, TableBuildHook, TableCache, TableKey,
 };
-pub use size::{approx_result_bytes, approx_table_bytes};
+pub use size::{approx_dfg_bytes, approx_result_bytes, approx_table_bytes};
 
 /// The most common imports in one place.
 pub mod prelude {

@@ -1,10 +1,11 @@
-//! Approximate heap footprints of the two cacheable compile artifacts,
-//! for byte-budgeted cache eviction.
+//! Approximate heap footprints of the cacheable compile artifacts and of
+//! a parsed graph, for byte-budgeted cache eviction.
 //!
 //! The serving layer bounds its caches in bytes as well as entries; that
 //! needs a size for each [`PatternTable`] and [`CompileResult`] it
-//! admits. Walking every allocation would couple this module to private
-//! representation details, so these estimators charge a fixed tariff per
+//! admits, and for each [`Dfg`] its inline-graph memo holds. Walking every
+//! allocation of the two artifacts would couple this module to private
+//! representation details, so their estimators charge a fixed tariff per
 //! *countable unit* of the public surface instead — per pattern row, per
 //! schedule cycle, per replay binding. The estimates are intentionally
 //! conservative-ish rather than exact: eviction only needs sizes that
@@ -12,6 +13,7 @@
 //! not an allocator-faithful census.
 
 use crate::session::CompileResult;
+use mps_dfg::{Dfg, Node, NodeId};
 use mps_patterns::PatternTable;
 use std::mem;
 
@@ -62,6 +64,28 @@ pub fn approx_result_bytes(result: &CompileResult) -> usize {
     mem::size_of::<CompileResult>() + selection + schedule + trace + slots + exec
 }
 
+/// Allocator header and rounding charged per heap block.
+const HEAP_BLOCK_BYTES: usize = 16;
+
+/// Heap blocks of a graph besides its node names: the node payloads, two
+/// CSR directions of two arrays each, and the topological order.
+const DFG_ARRAYS: usize = 6;
+
+/// Approximate resident bytes of a graph: its node payloads and their
+/// names, the successor and predecessor CSR arrays, and the topological
+/// order. Unlike the tariffs above, this counts the graph's actual
+/// allocations, each heap block charged 16 bytes of allocator overhead.
+pub fn approx_dfg_bytes(dfg: &Dfg) -> usize {
+    let (nodes, edges) = (dfg.len(), dfg.edge_count());
+    let names: usize = dfg.node_ids().map(|id| dfg.name(id).len()).sum();
+    // Two CSR directions, each `nodes + 1` offsets and `edges` targets,
+    // plus one topological order.
+    let csr =
+        2 * (nodes + 1) * mem::size_of::<u32>() + (2 * edges + nodes) * mem::size_of::<NodeId>();
+    let blocks = (nodes + DFG_ARRAYS) * HEAP_BLOCK_BYTES;
+    mem::size_of::<Dfg>() + nodes * mem::size_of::<Node>() + names + csr + blocks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,6 +103,19 @@ mod tests {
         let (s, b) = (approx_table_bytes(&small), approx_table_bytes(&big));
         assert!(s > 0);
         assert!(b > s, "star16 ({b} B) must dwarf fig4 ({s} B)");
+    }
+
+    #[test]
+    fn dfg_estimate_counts_every_array_and_name() {
+        let g = mps_dfg::parse_text("node x a\nnode yy b\nedge x yy\n").unwrap();
+        let csr = 2 * 3 * mem::size_of::<u32>() + (2 + 2) * mem::size_of::<NodeId>();
+        let blocks = (2 + DFG_ARRAYS) * HEAP_BLOCK_BYTES;
+        assert_eq!(
+            approx_dfg_bytes(&g),
+            mem::size_of::<Dfg>() + 2 * mem::size_of::<Node>() + 3 + csr + blocks
+        );
+        let big = mps_workloads::by_name("star16").unwrap();
+        assert!(approx_dfg_bytes(&big) > approx_dfg_bytes(&g));
     }
 
     #[test]

@@ -64,15 +64,6 @@ impl DfgBuilder {
     pub fn build(self) -> Result<Dfg, DfgError> {
         let n = self.nodes.len();
 
-        // Detect duplicate edges.
-        let mut sorted = self.edges.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(DfgError::DuplicateEdge(w[0].0, w[0].1));
-            }
-        }
-
         // CSR for successors.
         let mut succ_offsets = vec![0u32; n + 1];
         for &(u, _) in &self.edges {
@@ -87,10 +78,17 @@ impl DfgBuilder {
             succ_targets[cursor[u.index()] as usize] = v;
             cursor[u.index()] += 1;
         }
-        // Deterministic order within each adjacency list.
+        // Deterministic order within each adjacency list. A duplicate edge
+        // shows as two equal neighbours in its source's sorted list, and
+        // scanning sources in ascending order reports the lexicographically
+        // first one.
         for i in 0..n {
             let (s, e) = (succ_offsets[i] as usize, succ_offsets[i + 1] as usize);
-            succ_targets[s..e].sort_unstable();
+            let targets = &mut succ_targets[s..e];
+            targets.sort_unstable();
+            if let Some(w) = targets.windows(2).find(|w| w[0] == w[1]) {
+                return Err(DfgError::DuplicateEdge(NodeId(i as u32), w[0]));
+            }
         }
 
         // CSR for predecessors.
@@ -407,6 +405,18 @@ mod tests {
         let y = b.add_node("y", c('a'));
         b.add_edge(x, y).unwrap();
         b.add_edge(x, y).unwrap();
+        assert_eq!(b.build().unwrap_err(), DfgError::DuplicateEdge(x, y));
+    }
+
+    #[test]
+    fn reports_the_lexicographically_first_duplicate_edge() {
+        let mut b = DfgBuilder::new();
+        let [w, x, y, z] = ["w", "x", "y", "z"].map(|name| b.add_node(name, c('a')));
+        // (y, z) is duplicated first, but (x, y) sorts before it; the
+        // single (x, w) sits in x's list without being a duplicate.
+        for (u, v) in [(y, z), (y, z), (x, y), (x, w), (x, y)] {
+            b.add_edge(u, v).unwrap();
+        }
         assert_eq!(b.build().unwrap_err(), DfgError::DuplicateEdge(x, y));
     }
 

@@ -312,6 +312,11 @@ pub struct StatsReply {
     pub artifact_cache_hits: u64,
     /// Compile requests that ran the pipeline (including failures).
     pub artifact_cache_misses: u64,
+    /// Inline graphs (in `compile` and `peers` requests) resolved from the
+    /// daemon's graph memo, without a parse or a content hash, whether
+    /// the compile then hit the artifact cache or not.
+    #[serde(default)]
+    pub graph_memo_hits: u64,
     /// Distinct artifacts currently cached.
     pub cached_artifacts: u64,
     /// Distinct pattern tables in the shared table cache.

@@ -86,6 +86,7 @@ use mps::{
 };
 use serde::Value;
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
@@ -332,12 +333,68 @@ struct Resolved {
     key: (u64, u64),
 }
 
-/// A memoised registry graph, under its name's FNV hash. The name confirms
-/// a lookup, so a hash collision rebuilds instead of serving another graph.
-struct RegistryGraph {
-    name: String,
+/// Byte budget of the inline-graph memo, charged by [`MemoGraph::cost`].
+const GRAPH_MEMO_BYTES: usize = 640 << 10;
+
+/// Largest charge one inline-graph memo entry may carry: a larger graph
+/// is parsed per request, which its compile dwarfs, and never crowds the
+/// memo out.
+const GRAPH_MEMO_ENTRY_BYTES: usize = GRAPH_MEMO_BYTES / 8;
+
+/// Slots of the table of recently seen inline texts (by hash). The memo
+/// stores a text only when this table shows it was seen before, so texts
+/// sent once never churn the memo.
+const GRAPH_SIGHTINGS: usize = 1024;
+
+/// A memoised graph with its content hash, under a hash of its source: a
+/// registry name or the raw text of an inline graph. The source confirms a
+/// lookup, so a hash collision rebuilds instead of serving another graph.
+struct MemoGraph {
+    source: String,
     dfg: Arc<mps::dfg::Dfg>,
     hash: u64,
+}
+
+impl MemoGraph {
+    /// Charged bytes: the entry, its source and its graph.
+    fn cost(&self) -> usize {
+        std::mem::size_of::<MemoGraph>() + self.source.len() + mps::approx_dfg_bytes(&self.dfg)
+    }
+}
+
+/// The graph `source` stands for: from `memo` when the entry under `key`
+/// (the source's hash) holds exactly this source, otherwise built and
+/// hashed, then stored under `key` when `keep` accepts the new entry.
+fn memoised<E>(
+    memo: &SingleFlightCache<u64, MemoGraph>,
+    key: u64,
+    source: &str,
+    build: impl FnOnce() -> Result<mps::dfg::Dfg, E>,
+    keep: impl FnOnce(&MemoGraph) -> bool,
+) -> Result<Arc<MemoGraph>, E> {
+    let hit = memo.get(key).and_then(Result::ok);
+    if let Some(graph) = hit.filter(|graph| graph.source == source) {
+        return Ok(graph);
+    }
+    let dfg = build()?;
+    let graph = Arc::new(MemoGraph {
+        source: source.to_string(),
+        hash: dfg.content_hash(),
+        dfg: Arc::new(dfg),
+    });
+    if keep(&graph) {
+        memo.seed(key, Ok(Arc::clone(&graph)));
+    }
+    Ok(graph)
+}
+
+/// The inline-graph memo key of `text`: SipHash over its bytes, several
+/// times faster than byte-wise FNV on kilobyte texts. The memo lives in
+/// one process, so the key need not be stable across builds.
+fn text_key(text: &str) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    hasher.write(text.as_bytes());
+    hasher.finish()
 }
 
 /// One forward attempt's outcome, as the failover policy needs it
@@ -392,7 +449,12 @@ struct State {
     /// Whole compiles keyed by `(graph hash, config hash)`.
     artifacts: SingleFlightCache<(u64, u64), CompileResult>,
     /// Registry graphs by name hash, at most [`REGISTRY_MEMO`] of them.
-    registry: SingleFlightCache<u64, RegistryGraph>,
+    registry: SingleFlightCache<u64, MemoGraph>,
+    /// Inline graphs by text hash, within [`GRAPH_MEMO_BYTES`].
+    graph_memo: SingleFlightCache<u64, MemoGraph>,
+    /// The last inline-text hash seen in each slot (see
+    /// [`GRAPH_SIGHTINGS`]), boxed so `State` itself stays 8 KiB smaller.
+    sightings: Box<[AtomicU64; GRAPH_SIGHTINGS]>,
     probe: Option<StageProbe>,
     metrics: SharedStageMetrics,
     hist: StageHistograms,
@@ -1126,23 +1188,29 @@ impl State {
     /// Resolve a compile request to its graph (registry name or inline
     /// text), config and artifact key, or the error reply a malformed
     /// request gets.
+    ///
+    /// Both graph sources resolve through a memo, so a repeated request
+    /// pays neither the graph build nor its content hash: registry names
+    /// through [`registry_graph`](Self::registry_graph), inline texts
+    /// through [`inline_graph`](Self::inline_graph). A memo entry is only
+    /// served for a byte-identical name or text.
     fn resolve(&self, req: &Request) -> Result<Resolved, Box<ErrorReply>> {
         let protocol =
             |error: &str| Box::new(ErrorReply::protocol("compile", req.id, error.into()));
-        let (workload, dfg, graph_hash) = match (&req.workload, &req.graph) {
+        let (workload, graph) = match (&req.workload, &req.graph) {
             (Some(name), None) => {
                 let graph = self
                     .registry_graph(name)
                     .ok_or_else(|| protocol(&format!("unknown workload \"{name}\"")))?;
-                (name.clone(), Arc::clone(&graph.dfg), graph.hash)
+                (name.clone(), graph)
             }
             (None, Some(text)) => {
                 // Parse failures are pipeline errors: they carry the
                 // analyze-stage provenance the wire promises.
-                let dfg = mps::dfg::parse_text(text)
+                let graph = self
+                    .inline_graph(text)
                     .map_err(|e| Box::new(ErrorReply::pipeline("compile", req.id, &e.into())))?;
-                let hash = dfg.content_hash();
-                ("inline".to_string(), Arc::new(dfg), hash)
+                ("inline".to_string(), graph)
             }
             (Some(_), Some(_)) => Err(protocol(
                 "\"workload\" and \"graph\" are mutually exclusive",
@@ -1152,34 +1220,47 @@ impl State {
             ))?,
         };
         let cfg = req.compile_config().map_err(|e| protocol(&e))?;
-        let key = (graph_hash, cfg.content_hash());
         Ok(Resolved {
             workload,
-            dfg,
+            dfg: Arc::clone(&graph.dfg),
+            key: (graph.hash, cfg.content_hash()),
             cfg,
-            key,
         })
     }
 
     /// The registry graph `name` names with its content hash, memoised on
     /// first use unless it has more than [`REGISTRY_MEMO_NODES`] nodes;
     /// `None` for an unknown name, which is never memoised.
-    fn registry_graph(&self, name: &str) -> Option<Arc<RegistryGraph>> {
+    fn registry_graph(&self, name: &str) -> Option<Arc<MemoGraph>> {
         let key = crate::ring::fnv1a(name.as_bytes());
-        let memo = self.registry.get(key).and_then(Result::ok);
-        if let Some(graph) = memo.filter(|graph| graph.name == name) {
-            return Some(graph);
-        }
-        let dfg = mps::workloads::by_name(name)?;
-        let graph = Arc::new(RegistryGraph {
-            name: name.to_string(),
-            hash: dfg.content_hash(),
-            dfg: Arc::new(dfg),
-        });
-        if graph.dfg.len() <= REGISTRY_MEMO_NODES {
-            self.registry.seed(key, Ok(Arc::clone(&graph)));
-        }
-        Some(graph)
+        let build = || mps::workloads::by_name(name).ok_or(());
+        memoised(&self.registry, key, name, build, |graph| {
+            graph.dfg.len() <= REGISTRY_MEMO_NODES
+        })
+        .ok()
+    }
+
+    /// The graph an inline `text` parses to, with its content hash. Only
+    /// a successful parse is memoised, and only on the text's second
+    /// sighting and within [`GRAPH_MEMO_ENTRY_BYTES`], so a one-off text
+    /// or a near-cap graph never evicts the texts a client repeats.
+    fn inline_graph(&self, text: &str) -> Result<Arc<MemoGraph>, mps::dfg::ParseError> {
+        let key = text_key(text);
+        memoised(
+            &self.graph_memo,
+            key,
+            text,
+            || mps::dfg::parse_text(text),
+            |graph| graph.cost() <= GRAPH_MEMO_ENTRY_BYTES && self.seen_before(key),
+        )
+    }
+
+    /// Record a sighting of the inline text hashed to `key`, and say
+    /// whether its slot already held that hash (the text was seen before,
+    /// and no other text has taken the slot since).
+    fn seen_before(&self, key: u64) -> bool {
+        let slot = &self.sightings[(key % GRAPH_SIGHTINGS as u64) as usize];
+        slot.swap(key, Ordering::Relaxed) == key
     }
 
     fn log_compile(&self, req: &Request, t0: Instant, cached: bool, error: Option<&str>) {
@@ -1211,6 +1292,7 @@ impl State {
             errors: self.errors.load(Ordering::Relaxed),
             artifact_cache_hits: self.artifacts.hits(),
             artifact_cache_misses: self.artifacts.misses(),
+            graph_memo_hits: self.graph_memo.hits(),
             cached_artifacts: self.artifacts.len() as u64,
             cached_tables: self.tables.len() as u64,
             table_builds: m.table_builds as u64,
@@ -1458,8 +1540,16 @@ impl Server {
                     max_entries: Some(REGISTRY_MEMO),
                     max_bytes: None,
                 },
-                |_| 0,
+                MemoGraph::cost,
             ),
+            graph_memo: SingleFlightCache::new(
+                CacheBudget {
+                    max_entries: None,
+                    max_bytes: Some(GRAPH_MEMO_BYTES),
+                },
+                MemoGraph::cost,
+            ),
+            sightings: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
             fleet,
             probe: opts.faults.stage_probe(),
             metrics: SharedStageMetrics::new(),
@@ -1968,8 +2058,8 @@ mod tests {
         let state = &server.state;
         // Plant fig2 under fig4's key, as a hash collision would.
         let fig2 = mps::workloads::fig2();
-        let planted = RegistryGraph {
-            name: "fig2".to_string(),
+        let planted = MemoGraph {
+            source: "fig2".to_string(),
             hash: fig2.content_hash(),
             dfg: Arc::new(fig2),
         };
@@ -1977,6 +2067,160 @@ mod tests {
         assert!(state.registry.seed(key, Ok(Arc::new(planted))));
         let resolved = state.resolve(&by_name("fig4")).expect("fig4");
         assert_eq!(resolved.key.0, mps::workloads::fig4().content_hash());
+    }
+
+    fn inline(text: &str) -> Request {
+        Request {
+            op: "compile".to_string(),
+            graph: Some(text.to_string()),
+            ..Request::default()
+        }
+    }
+
+    /// A chain of `len` nodes as inline text, its node names prefixed
+    /// with `tag` so distinct tags give distinct texts.
+    fn chain(tag: &str, len: usize) -> String {
+        let mut text = String::new();
+        for i in 0..len {
+            text.push_str(&format!("node {tag}{i} a\n"));
+            if i > 0 {
+                text.push_str(&format!("edge {tag}{} {tag}{i}\n", i - 1));
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn graph_memo_stores_a_text_on_its_second_sighting() {
+        let server = Server::new(one_worker());
+        let state = &server.state;
+        let text = chain("n", 6);
+        let first = state.resolve(&inline(&text)).expect("parses");
+        assert_eq!(state.graph_memo.len(), 0, "a first sighting stores nothing");
+        let second = state.resolve(&inline(&text)).expect("parses");
+        assert_eq!(state.graph_memo.len(), 1, "the second sighting stores");
+        assert!(!Arc::ptr_eq(&first.dfg, &second.dfg), "both were parsed");
+        let third = state.resolve(&inline(&text)).expect("memo hit");
+        assert!(Arc::ptr_eq(&second.dfg, &third.dfg));
+        assert_eq!(third.key, first.key);
+        assert_eq!(
+            first.key.0,
+            mps::dfg::parse_text(&text).unwrap().content_hash()
+        );
+        assert_eq!(server.stats().graph_memo_hits, 1);
+    }
+
+    #[test]
+    fn graph_memo_never_shares_an_entry_between_texts_that_differ_in_one_byte() {
+        let server = Server::new(one_worker());
+        let state = &server.state;
+        let base = "node x a\nnode y b\nedge x y\n";
+        // One color byte changes the graph; one trailing byte does not.
+        let texts = [
+            base,
+            "node x a\nnode y c\nedge x y\n",
+            "node x a\nnode y b\nedge x y\n ",
+        ];
+        let mut resolved = Vec::new();
+        for text in texts {
+            state.resolve(&inline(text)).expect("parses");
+            resolved.push(state.resolve(&inline(text)).expect("parses"));
+        }
+        assert_eq!(state.graph_memo.len(), 3, "one entry per distinct text");
+        for (text, stored) in texts.iter().zip(&resolved) {
+            let again = state.resolve(&inline(text)).expect("memo hit");
+            assert!(Arc::ptr_eq(&again.dfg, &stored.dfg), "{text:?}");
+            assert_eq!(
+                again.key.0,
+                mps::dfg::parse_text(text).unwrap().content_hash()
+            );
+        }
+        assert_ne!(resolved[0].key, resolved[1].key);
+        assert_eq!(
+            resolved[0].key, resolved[2].key,
+            "the same graph, two entries"
+        );
+        assert!(!Arc::ptr_eq(&resolved[0].dfg, &resolved[2].dfg));
+        assert_eq!(state.graph_memo.hits(), 3);
+    }
+
+    #[test]
+    fn graph_memo_confirms_the_text_behind_a_hash() {
+        let server = Server::new(one_worker());
+        let state = &server.state;
+        // Plant fig2 under this text's key, as a hash collision would.
+        let text = chain("n", 4);
+        let fig2 = mps::workloads::fig2();
+        let planted = MemoGraph {
+            source: mps::dfg::to_text(&fig2),
+            hash: fig2.content_hash(),
+            dfg: Arc::new(fig2),
+        };
+        let key = text_key(&text);
+        assert!(state.graph_memo.seed(key, Ok(Arc::new(planted))));
+        let resolved = state.resolve(&inline(&text)).expect("parses");
+        assert_eq!(
+            resolved.key.0,
+            mps::dfg::parse_text(&text).unwrap().content_hash()
+        );
+        assert_eq!(resolved.dfg.len(), 4);
+    }
+
+    #[test]
+    fn graph_memo_never_stores_a_failing_parse() {
+        let server = Server::new(one_worker());
+        let line = inline("node x a\nedge x ghost\n").to_line();
+        let replies: Vec<String> = (0..3).map(|_| server.handle_line(&line).0).collect();
+        let Reply::Error(error) = Reply::from_line(&replies[0]).unwrap() else {
+            panic!("expected an error reply: {}", replies[0]);
+        };
+        assert_eq!(error.stage.as_deref(), Some("analyze"));
+        assert!(
+            replies.iter().all(|reply| *reply == replies[0]),
+            "{replies:?}"
+        );
+        let state = &server.state;
+        assert_eq!(
+            (state.graph_memo.len(), state.graph_memo.resident_bytes()),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn graph_memo_answers_but_does_not_store_a_text_over_the_entry_cap() {
+        let server = Server::new(one_worker());
+        let state = &server.state;
+        let text = chain("n", 3000);
+        let first = state.resolve(&inline(&text)).expect("parses");
+        let graph = MemoGraph {
+            source: text.clone(),
+            hash: first.key.0,
+            dfg: Arc::clone(&first.dfg),
+        };
+        assert!(graph.cost() > GRAPH_MEMO_ENTRY_BYTES);
+        for _ in 0..2 {
+            let again = state.resolve(&inline(&text)).expect("parses");
+            assert_eq!(again.key, first.key);
+            assert!(!Arc::ptr_eq(&again.dfg, &first.dfg), "parsed every time");
+        }
+        assert_eq!(state.graph_memo.len(), 0);
+    }
+
+    #[test]
+    fn graph_memo_stays_within_its_byte_budget() {
+        let server = Server::new(one_worker());
+        let state = &server.state;
+        for i in 0..100 {
+            let text = chain(&format!("g{i}_"), 200);
+            state.resolve(&inline(&text)).expect("parses");
+            state.resolve(&inline(&text)).expect("parses");
+            assert!(state.graph_memo.resident_bytes() <= GRAPH_MEMO_BYTES);
+        }
+        assert!(
+            state.graph_memo.evictions() > 0,
+            "the stream outgrew the budget"
+        );
+        assert!(state.graph_memo.len() > 1);
     }
 
     /// A reply line with its measured `latency_sec` value zeroed.
@@ -1988,9 +2232,10 @@ mod tests {
         format!("{head}\"latency_sec\":0{rest}")
     }
 
-    /// By-name cache-hit replies as the server rendered them before hits
-    /// were answered on the connection thread, `latency_sec` zeroed.
-    const HIT_GOLDENS: [(&str, &str); 3] = [
+    /// Cache-hit replies as the server rendered them before hits were
+    /// answered on the connection thread (by name) and before inline
+    /// graphs were memoised (the last), `latency_sec` zeroed.
+    const HIT_GOLDENS: [(&str, &str); 4] = [
         (
             r#"{"op":"compile","workload":"fig4","id":7}"#,
             r#"{"ok":true,"op":"compile","id":7,"workload":"fig4","graph_hash":"8f02f411c94ad84f","config_hash":"34573ca9477bab70","engine":"eq8","cached":true,"latency_sec":0,"patterns":["aa","bb"],"cycles":3,"schedule":"schedule (3 cycles):\n  cycle   1 [aa]: n0 n2\n  cycle   2 [aa]: n1\n  cycle   3 [bb]: n4 n3\n","ii":null,"switches":null,"exec_cycles":null,"fabric_tiles":null,"fabric_transfers":null,"fabric_cycles":null}"#,
@@ -2003,6 +2248,10 @@ mod tests {
             r#"{"op":"compile","workload":"dft5","pdef":4,"alus":5,"id":9}"#,
             r#"{"ok":true,"op":"compile","id":9,"workload":"dft5","graph_hash":"bb63592fcc4ca801","config_hash":"be9ed3da5d80f4ac","engine":"eq8","cached":true,"latency_sec":0,"patterns":["abbcc","aabbc","aabcc","abbbc"],"cycles":11,"schedule":"schedule (11 cycles):\n  cycle   1 [aabbc]: n3 n2 n7 n6\n  cycle   2 [aabbc]: n1 n0 n5 n4 n23\n  cycle   3 [aabbc]: n9 n8 n15 n14 n25\n  cycle   4 [aabcc]: n19 n18 n13 n12\n  cycle   5 [aabcc]: n11 n10 n21 n20\n  cycle   6 [abbcc]: n17 n16 n27 n26\n  cycle   7 [abbcc]: n24 n22 n34 n30 n29\n  cycle   8 [abbbc]: n35 n31 n33 n28\n  cycle   9 [aabbc]: n32 n43 n39 n37\n  cycle  10 [aabbc]: n42 n41 n38 n36\n  cycle  11 [abbcc]: n40\n","ii":null,"switches":null,"exec_cycles":11,"fabric_tiles":null,"fabric_transfers":null,"fabric_cycles":null}"#,
         ),
+        (
+            r##"{"op":"compile","graph":"# two adders feed a multiply\nnode a0 a\nnode a1 a\nnode b0 b\nnode a2 a\nnode c0 c\nedge a0 b0\nedge a1 b0\nedge b0 c0\nedge a2 c0\n","pdef":3,"id":10}"##,
+            r#"{"ok":true,"op":"compile","id":10,"workload":"inline","graph_hash":"101d0779d98d9d88","config_hash":"5bdfe6333d588819","engine":"eq8","cached":true,"latency_sec":0,"patterns":["aaa","ab","c"],"cycles":3,"schedule":"schedule (3 cycles):\n  cycle   1 [aaa]: n1 n0 n3\n  cycle   2 [ab]: n2\n  cycle   3 [c]: n4\n","ii":null,"switches":null,"exec_cycles":null,"fabric_tiles":null,"fabric_transfers":null,"fabric_cycles":null}"#,
+        ),
     ];
 
     #[test]
@@ -2010,9 +2259,13 @@ mod tests {
         let server = Server::new(one_worker());
         for (line, golden) in HIT_GOLDENS {
             server.handle_line(line);
-            let (hit, _) = server.handle_line(line);
-            assert_eq!(without_latency(&hit), golden, "{line}");
+            // The inline graph's third send resolves from the graph memo.
+            for _ in 0..2 {
+                let (hit, _) = server.handle_line(line);
+                assert_eq!(without_latency(&hit), golden, "{line}");
+            }
         }
+        assert_eq!(server.stats().graph_memo_hits, 1);
     }
 
     #[test]

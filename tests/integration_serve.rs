@@ -98,6 +98,58 @@ fn wire_replies_equal_direct_session_compiles() {
     server.join().expect("server thread exits after shutdown");
 }
 
+/// A design-space sweep sends one inline graph text over Pdef 2–8, as the
+/// paper's Table 7 does: the first two sends parse (the second stores the
+/// text in the daemon's graph memo), the other five resolve from the
+/// memo, and every reply still equals a direct `Session::compile`.
+#[test]
+fn inline_pdef_sweep_resolves_from_the_memo_and_matches_direct_compiles() {
+    let (addr, server) = spawn_loopback(ServeOptions {
+        workers: 1,
+        ..Default::default()
+    })
+    .expect("bind loopback");
+    let mut client = connect(addr);
+    let dfg = mps::workloads::fig2();
+    let text = mps::dfg::to_text(&dfg);
+
+    for pdef in 2..=8 {
+        let req = Request {
+            op: "compile".to_string(),
+            graph: Some(text.clone()),
+            pdef: Some(pdef),
+            ..Request::default()
+        };
+        let reply = compile_reply(&mut client, &req);
+        let cfg = req.compile_config().expect("valid request config");
+        let direct = Session::with_config(dfg.clone(), cfg)
+            .compile()
+            .expect("direct compile");
+        let patterns: Vec<String> = direct
+            .selection
+            .patterns
+            .iter()
+            .map(|p| p.to_string())
+            .collect();
+        assert_eq!(reply.patterns, patterns, "pdef {pdef}: patterns differ");
+        assert_eq!(reply.cycles as usize, direct.cycles, "pdef {pdef}");
+        assert_eq!(reply.schedule, direct.schedule.to_string(), "pdef {pdef}");
+        assert_eq!(
+            reply.graph_hash,
+            format!("{:016x}", dfg.content_hash()),
+            "pdef {pdef}"
+        );
+        assert!(!reply.cached, "pdef {pdef}: every config is new");
+    }
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.graph_memo_hits, 5);
+    assert_eq!((stats.compiles, stats.errors), (7, 0));
+
+    client.shutdown().expect("shutdown ack");
+    server.join().expect("server thread");
+}
+
 /// The persistence contract, end to end over a real socket: a server
 /// killed and restarted on the same `cache_dir` answers previously
 /// compiled requests **byte-identically** — the reply line is compared
