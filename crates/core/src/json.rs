@@ -67,16 +67,7 @@ fn write_into(out: &mut String, value: &Value) {
         Value::I64(n) => {
             let _ = write!(out, "{n}");
         }
-        Value::F64(x) => {
-            if x.is_finite() {
-                // `{x:?}` is shortest-round-trip and always keeps a `.0`
-                // or exponent on integral values, so the reader classes
-                // it back as a float.
-                let _ = write!(out, "{x:?}");
-            } else {
-                out.push_str("null");
-            }
-        }
+        Value::F64(x) => write_f64(out, *x),
         Value::Str(s) => write_str(out, s),
         Value::Seq(items) => {
             out.push('[');
@@ -111,7 +102,24 @@ fn is_plain(b: u8) -> bool {
     b != b'"' && b != b'\\' && b >= 0x20
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Append `x` as [`write()`] renders a [`Value::F64`]: shortest
+/// round-trip digits, `null` when not finite. Exposed so a caller that
+/// splices reply text by hand writes the same bytes as a whole-tree
+/// encode.
+pub fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        // `{x:?}` is shortest-round-trip and always keeps a `.0` or
+        // exponent on integral values, so the reader classes it back as
+        // a float.
+        let _ = write!(out, "{x:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// Append `s` as [`write()`] renders a [`Value::Str`]: quoted, escaped,
+/// newline-free.
+pub fn write_str(out: &mut String, s: &str) {
     out.reserve(s.len() + 2);
     out.push('"');
     let mut run = 0;

@@ -60,8 +60,11 @@ impl DfgBuilder {
         self.nodes.len()
     }
 
-    /// Validate and freeze into an immutable [`Dfg`].
-    pub fn build(self) -> Result<Dfg, DfgError> {
+    /// Validate and freeze into an immutable [`Dfg`]. The node array
+    /// drops the builder's growth slack, so a frozen graph holds exactly
+    /// its nodes for the rest of its life.
+    pub fn build(mut self) -> Result<Dfg, DfgError> {
+        self.nodes.shrink_to_fit();
         let n = self.nodes.len();
 
         // CSR for successors.
@@ -327,6 +330,16 @@ mod tests {
         b.add_edge(l, t).unwrap();
         b.add_edge(r, t).unwrap();
         b.build().unwrap()
+    }
+
+    #[test]
+    fn build_drops_the_builders_spare_capacity() {
+        let mut b = DfgBuilder::new();
+        for i in 0..5 {
+            b.add_node(format!("n{i}"), c('a'));
+        }
+        let g = b.build().unwrap();
+        assert_eq!(g.nodes.capacity(), g.len());
     }
 
     #[test]

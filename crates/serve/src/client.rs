@@ -98,9 +98,10 @@ impl Client {
     /// Send one raw request line, return the raw reply line.
     ///
     /// `UnexpectedEof` means the server closed the connection before any
-    /// reply byte; a read failure after part of the reply arrived is
-    /// reported as `InvalidData`, so a caller can tell a request that was
-    /// never answered from one that was cut mid-reply.
+    /// reply byte; a reply cut short (EOF or a read failure after part of
+    /// it arrived, before its newline) is reported as `InvalidData`, so a
+    /// caller can tell a request that was never answered from one that was
+    /// cut mid-reply, and never takes a fragment for a whole reply.
     pub fn send_line(&mut self, line: &str) -> io::Result<String> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
@@ -109,6 +110,10 @@ impl Client {
             Ok(0) => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
+            )),
+            Ok(_) if !reply.ends_with('\n') => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "server closed the connection mid-reply",
             )),
             Ok(_) => Ok(reply.trim_end().to_string()),
             Err(e) if !reply.is_empty() => Err(io::Error::new(

@@ -18,8 +18,9 @@
 //! pin server answers against direct [`mps::Session`] compiles.
 
 use crate::json;
-use mps::{CompileConfig, ScheduleEngine, SelectEngine};
+use mps::{CompileConfig, CompileResult, ScheduleEngine, SelectEngine};
 use serde::{Deserialize, Serialize, Value};
+use std::fmt::Write as _;
 
 use crate::histogram::Quantiles;
 
@@ -244,6 +245,8 @@ impl Request {
 /// Successful `compile` reply: the result rendered in the same stable
 /// textual forms the CLI prints (patterns and schedule as strings), plus
 /// the cache identity and whether this request hit the artifact cache.
+/// The server writes it as `compile_reply_line` splices it; clients
+/// decode it into this type.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CompileReply {
     /// Always `true`.
@@ -288,6 +291,119 @@ pub struct CompileReply {
     /// Fabric makespan on the shared global clock (fabric compiles only).
     #[serde(default)]
     pub fabric_cycles: Option<u64>,
+}
+
+/// The per-request head of a successful `compile` reply: every field
+/// [`CompileReply`] carries before `patterns`. Nothing in it depends on
+/// the compile result, so [`compile_reply_line`] writes it per request
+/// in front of the result's stored [`compile_reply_tail`].
+pub(crate) struct CompileHead<'a> {
+    pub id: Option<u64>,
+    pub workload: &'a str,
+    pub key: (u64, u64),
+    pub engine: &'a str,
+    pub cached: bool,
+    pub latency_sec: f64,
+}
+
+/// The fields of a successful `compile` reply from `patterns` through
+/// `fabric_cycles`: everything in the reply that depends only on the
+/// compile result. [`compile_reply_tail`] encodes them once per artifact,
+/// and every reply for it splices the same bytes.
+#[derive(Serialize)]
+struct CompileTail {
+    patterns: Vec<String>,
+    cycles: u64,
+    schedule: String,
+    ii: Option<u64>,
+    switches: Option<u64>,
+    exec_cycles: Option<u64>,
+    fabric_tiles: Option<u64>,
+    fabric_transfers: Option<u64>,
+    fabric_cycles: Option<u64>,
+}
+
+/// The [`CompileTail`] of `result`, encoded, with its opening brace
+/// turned into the comma that follows the head. Together with its head
+/// it is exactly what [`encode`] writes for the same [`CompileReply`].
+pub(crate) fn compile_reply_tail(result: &CompileResult) -> Box<str> {
+    let fabric = result.fabric.as_ref();
+    let mut tail = encode(&CompileTail {
+        patterns: result
+            .selection
+            .patterns
+            .iter()
+            .map(|p| p.to_string())
+            .collect(),
+        cycles: result.cycles as u64,
+        schedule: result.schedule.to_string(),
+        ii: result.ii.map(|n| n as u64),
+        switches: result.switches.map(|n| n as u64),
+        exec_cycles: result.exec.as_ref().map(|e| e.cycles as u64),
+        fabric_tiles: fabric.map(|m| m.tile_count() as u64),
+        fabric_transfers: fabric.map(|m| m.transfer_count() as u64),
+        fabric_cycles: fabric.map(|m| m.total_cycles),
+    });
+    tail.replace_range(..1, ",");
+    tail.into_boxed_str()
+}
+
+/// One successful `compile` reply line: `head` rendered with the
+/// [`json`] writer, then the artifact's stored `tail`.
+pub(crate) fn compile_reply_line(head: &CompileHead<'_>, tail: &str) -> String {
+    let mut out = String::with_capacity(192 + head.workload.len() + tail.len());
+    out.push_str("{\"ok\":true,\"op\":\"compile\",\"id\":");
+    let _ = match head.id {
+        Some(id) => write!(out, "{id}"),
+        None => write!(out, "null"),
+    };
+    out.push_str(",\"workload\":");
+    json::write_str(&mut out, head.workload);
+    let (graph, config) = head.key;
+    let _ = write!(
+        out,
+        ",\"graph_hash\":\"{graph:016x}\",\"config_hash\":\"{config:016x}\",\"engine\":"
+    );
+    json::write_str(&mut out, head.engine);
+    let _ = write!(out, ",\"cached\":{},\"latency_sec\":", head.cached);
+    json::write_f64(&mut out, head.latency_sec);
+    out.push_str(tail);
+    out
+}
+
+#[cfg(test)]
+impl CompileReply {
+    /// The whole reply `head` and `result` describe: the oracle that
+    /// [`compile_reply_line`] output is held to, byte for byte, through
+    /// [`encode`].
+    pub(crate) fn of(head: &CompileHead<'_>, result: &CompileResult) -> CompileReply {
+        let fabric = result.fabric.as_ref();
+        CompileReply {
+            ok: true,
+            op: "compile".to_string(),
+            id: head.id,
+            workload: head.workload.to_string(),
+            graph_hash: format!("{:016x}", head.key.0),
+            config_hash: format!("{:016x}", head.key.1),
+            engine: head.engine.to_string(),
+            cached: head.cached,
+            latency_sec: head.latency_sec,
+            patterns: result
+                .selection
+                .patterns
+                .iter()
+                .map(|p| p.to_string())
+                .collect(),
+            cycles: result.cycles as u64,
+            schedule: result.schedule.to_string(),
+            ii: result.ii.map(|n| n as u64),
+            switches: result.switches.map(|n| n as u64),
+            exec_cycles: result.exec.as_ref().map(|e| e.cycles as u64),
+            fabric_tiles: fabric.map(|m| m.tile_count() as u64),
+            fabric_transfers: fabric.map(|m| m.transfer_count() as u64),
+            fabric_cycles: fabric.map(|m| m.total_cycles),
+        }
+    }
 }
 
 /// `stats` reply: request/cache counters, aggregated compile metrics and
@@ -880,6 +996,57 @@ mod tests {
                 assert_eq!(e.code, None, "ordinary pipeline errors have no code");
             }
             other => panic!("expected error reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn spliced_compile_replies_match_the_whole_reply_encoder() {
+        let plain = mps::Session::new(mps::workloads::fig4()).compile().unwrap();
+        let fabric = mps::Session::with_config(
+            mps::workloads::fig2(),
+            Request {
+                capacity: Some(3),
+                fabric: Some("4:3,16@2".to_string()),
+                ..Request::op("compile")
+            }
+            .compile_config()
+            .unwrap(),
+        )
+        .compile()
+        .unwrap();
+        let tiled = mps::Session::with_config(
+            mps::workloads::fig4(),
+            Request {
+                alus: Some(5),
+                ..Request::op("compile")
+            }
+            .compile_config()
+            .unwrap(),
+        )
+        .compile()
+        .unwrap();
+        // Latencies that print plainly, with an exponent, or as null.
+        let latencies = [0.0, 0.125, 3.0, 1e-7, 2.5e-5, 1.5e300, f64::NAN];
+        for result in [&plain, &fabric, &tiled] {
+            let tail = compile_reply_tail(result);
+            for workload in ["fig4", "inline", "q\"uo\\te\n\t\u{1}\u{e9}"] {
+                for id in [None, Some(0), Some(u64::MAX)] {
+                    for (i, &latency_sec) in latencies.iter().enumerate() {
+                        let head = CompileHead {
+                            id,
+                            workload,
+                            key: (0x00ff_00ff_00ff_00ff, i as u64),
+                            engine: "eq8",
+                            cached: i % 2 == 0,
+                            latency_sec,
+                        };
+                        assert_eq!(
+                            compile_reply_line(&head, &tail),
+                            encode(&CompileReply::of(&head, result))
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -73,8 +73,9 @@ use crate::fault::FaultPlan;
 use crate::histogram::StageHistograms;
 use crate::peer::{PeerState, PeerTable};
 use crate::protocol::{
-    encode, ArtifactGetReply, ArtifactPutReply, CompileReply, ErrorReply, LatencyStats,
-    MetricsTotals, PeerInfo, PeersReply, PongReply, Reply, Request, ShutdownReply, StatsReply,
+    compile_reply_line, compile_reply_tail, encode, ArtifactGetReply, ArtifactPutReply,
+    CompileHead, ErrorReply, LatencyStats, MetricsTotals, PeerInfo, PeersReply, PongReply, Reply,
+    Request, ShutdownReply, StatsReply,
 };
 use crate::ring::{Owner, PeerRing};
 use mps::artifact::ArtifactStore;
@@ -109,7 +110,8 @@ pub struct ServeOptions {
     /// Artifact-cache entry budget (default unbounded).
     pub max_artifacts: Option<usize>,
     /// Artifact-cache byte budget, in [`mps::approx_result_bytes`]
-    /// units (default unbounded).
+    /// units plus an estimate of each entry's stored reply tail (default
+    /// unbounded).
     pub max_artifact_bytes: Option<usize>,
     /// Pattern-table cache entry budget (default unbounded).
     pub max_tables: Option<usize>,
@@ -228,18 +230,21 @@ struct Fleet {
 
 impl Fleet {
     /// One request/reply exchange with peer `addr`: take an idle pooled
-    /// connection (or dial one), send `line`, read and parse one reply
-    /// line, all within `timeout`.
+    /// connection (or dial one), send `line`, read one reply line, all
+    /// within `timeout`, and return it. A line that opens with
+    /// [`SUCCESS_PREFIX`] is not decoded here: a forwarded compile hands
+    /// it to its client verbatim, and a caller that wants the typed reply
+    /// decodes it itself. Any other line is decoded, to classify it.
     ///
     /// The connection goes back to the pool only after a reply the
-    /// forward path can use (a success, a compile error or `overloaded`);
-    /// `shutting_down`, an unintelligible reply, a timeout or any I/O
-    /// error drops it. A *reused* connection that fails with EOF, reset
-    /// or broken pipe before any reply byte was closed by the peer while
-    /// it sat idle (a restarted peer, say) and is retried once on a fresh
-    /// dial. A timeout is never retried: it is the peer's verdict, and a
-    /// retry would double the caller's budget.
-    fn round_trip(&self, addr: &str, line: &str, timeout: Duration) -> io::Result<(String, Reply)> {
+    /// callers can use (a success, a compile error or `overloaded`);
+    /// `shutting_down`, an unintelligible reply, a reply cut short, a
+    /// timeout or any I/O error drops it. A *reused* connection that fails
+    /// with EOF, reset or broken pipe before any reply byte was closed by
+    /// the peer while it sat idle (a restarted peer, say) and is retried
+    /// once on a fresh dial. A timeout is never retried: it is the peer's
+    /// verdict, and a retry would double the caller's budget.
+    fn round_trip(&self, addr: &str, line: &str, timeout: Duration) -> io::Result<String> {
         let until = Instant::now() + timeout;
         let pooled = self
             .idle
@@ -261,13 +266,9 @@ impl Fleet {
             }
         }
         let text = sent?;
-        let reply = Reply::from_line(&text).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unintelligible peer reply: {e}"),
-            )
-        })?;
-        if !matches!(&reply, Reply::Error(e) if e.code.as_deref() == Some("shutting_down")) {
+        let draining = !text.starts_with(SUCCESS_PREFIX)
+            && error_code(&decode_peer_reply(&text)?) == Some("shutting_down");
+        if !draining {
             self.idle
                 .lock()
                 .expect("peer pool poisoned")
@@ -275,7 +276,7 @@ impl Fleet {
                 .or_default()
                 .push(client);
         }
-        Ok((text, reply))
+        Ok(text)
     }
 
     /// Open a fresh connection to peer `addr`, with `timeout` bounding
@@ -293,6 +294,29 @@ impl Fleet {
         let client = Client::connect_timeout(&sockaddr, timeout)?;
         self.dials.fetch_add(1, Ordering::Relaxed);
         Ok(client)
+    }
+}
+
+/// How every success reply line opens (`ok` is each reply's first
+/// field), so a relayed success is recognised without decoding it.
+const SUCCESS_PREFIX: &str = "{\"ok\":true,";
+
+/// Decode one peer reply line; a line that is not protocol is
+/// `InvalidData`.
+fn decode_peer_reply(text: &str) -> io::Result<Reply> {
+    Reply::from_line(text).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unintelligible peer reply: {e}"),
+        )
+    })
+}
+
+/// The error code of an error reply.
+fn error_code(reply: &Reply) -> Option<&str> {
+    match reply {
+        Reply::Error(e) => e.code.as_deref(),
+        _ => None,
     }
 }
 
@@ -322,6 +346,95 @@ const REGISTRY_MEMO: usize = 64;
 /// parametric, so this and [`REGISTRY_MEMO`] bound the memo's footprint;
 /// a larger graph is rebuilt per request, which its compile dwarfs.
 const REGISTRY_MEMO_NODES: usize = 4096;
+
+/// One artifact-cache entry: a compile result and the tail of its reply
+/// ([`compile_reply_tail`]), rendered by the first reply that needs it
+/// and spliced into every later one. A miss renders it as it answers; a
+/// warm-started or handed-off entry renders it on its first hit, so
+/// loading an entry renders nothing.
+struct Artifact {
+    result: CompileResult,
+    reply_tail: OnceLock<Box<str>>,
+}
+
+impl Artifact {
+    fn new(result: CompileResult) -> Artifact {
+        Artifact {
+            result,
+            reply_tail: OnceLock::new(),
+        }
+    }
+
+    /// The reply tail, rendered on first use.
+    fn reply_tail(&self) -> &str {
+        self.reply_tail
+            .get_or_init(|| compile_reply_tail(&self.result))
+    }
+
+    /// Charged bytes: the result's [`mps::approx_result_bytes`] plus
+    /// [`reply_tail_bound`], charged whether or not the tail is rendered
+    /// yet, so a loaded entry costs what a computed one does and
+    /// `max_artifact_bytes` still bounds what the entries grow to.
+    fn cost(&self) -> usize {
+        std::mem::size_of::<Artifact>() - std::mem::size_of::<CompileResult>()
+            + mps::approx_result_bytes(&self.result)
+            + reply_tail_bound(&self.result)
+    }
+}
+
+/// An upper bound on the bytes of `result`'s [`compile_reply_tail`],
+/// counted from the result without rendering it: each pattern quoted, each
+/// schedule line with its cycle number, pattern and node ids, and the
+/// escaped newline that ends it.
+fn reply_tail_bound(result: &CompileResult) -> usize {
+    let cycles = result.schedule.cycles();
+    let number = decimal_digits(cycles.len()).max(3);
+    let patterns: usize = result
+        .selection
+        .patterns
+        .iter()
+        .map(|p| pattern_bytes(p) + 3)
+        .sum();
+    let lines: usize = cycles
+        .iter()
+        .map(|cycle| {
+            let nodes: usize = cycle
+                .nodes
+                .iter()
+                .map(|n| 2 + decimal_digits(n.0 as usize))
+                .sum();
+            LINE_BYTES + number + pattern_bytes(&cycle.pattern) + nodes
+        })
+        .sum();
+    TAIL_FIXED_BYTES + patterns + lines
+}
+
+/// The tail's bytes outside its patterns and schedule lines: the field
+/// names, the schedule's header and quotes, and six optional fields of at
+/// most 20 digits each.
+const TAIL_FIXED_BYTES: usize = 320;
+
+/// A schedule line's bytes besides its cycle number, pattern and nodes:
+/// `  cycle `, ` [`, `]:` and the escaped `\n`.
+const LINE_BYTES: usize = 14;
+
+/// Bytes `pattern` renders to: a letter per colour, `#<index>` for a
+/// colour past `z`, and `∅` (3 bytes) when empty.
+fn pattern_bytes(pattern: &mps::patterns::Pattern) -> usize {
+    if pattern.is_empty() {
+        return '∅'.len_utf8();
+    }
+    let colour = |c: &mps::dfg::Color| match c.as_char() {
+        Some(_) => 1,
+        None => 1 + decimal_digits(c.index()),
+    };
+    pattern.colors().iter().map(colour).sum()
+}
+
+/// Decimal digits of `n`.
+fn decimal_digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
 
 /// A compile request resolved to its graph, config and artifact key, once,
 /// on the connection thread; a miss carries it to its worker in its
@@ -424,7 +537,7 @@ struct Job {
 /// A write owed to the disk tier.
 enum Save {
     /// A fresh compile result under its artifact key.
-    Result((u64, u64), Arc<CompileResult>),
+    Result((u64, u64), Arc<Artifact>),
     /// A fresh pattern table under its graph hash and table key.
     Table(u64, TableKey, Arc<PatternTable>),
 }
@@ -446,8 +559,9 @@ struct State {
     opts: ServeOptions,
     started: Instant,
     tables: Arc<TableCache>,
-    /// Whole compiles keyed by `(graph hash, config hash)`.
-    artifacts: SingleFlightCache<(u64, u64), CompileResult>,
+    /// Whole compiles keyed by `(graph hash, config hash)`, each with
+    /// its rendered reply tail.
+    artifacts: SingleFlightCache<(u64, u64), Artifact>,
     /// Registry graphs by name hash, at most [`REGISTRY_MEMO`] of them.
     registry: SingleFlightCache<u64, MemoGraph>,
     /// Inline graphs by text hash, within [`GRAPH_MEMO_BYTES`].
@@ -783,18 +897,25 @@ impl State {
             }
             timeout = timeout.min(left);
         }
-        match fleet.round_trip(addr, line, timeout) {
+        let text = match fleet.round_trip(addr, line, timeout) {
+            Ok(text) if text.starts_with(SUCCESS_PREFIX) => return Forwarded::Line(text),
+            Ok(text) => text,
+            Err(e) => return Forwarded::Down(e.to_string()),
+        };
+        // An error reply: `round_trip` already decoded it once, so it is
+        // protocol; error lines are short, so decoding again costs little.
+        match decode_peer_reply(&text) {
             Err(e) => Forwarded::Down(e.to_string()),
-            Ok((_, Reply::Error(e))) if e.code.as_deref() == Some("overloaded") => {
+            Ok(Reply::Error(e)) if e.code.as_deref() == Some("overloaded") => {
                 Forwarded::Shed(e.retry_after_ms.unwrap_or(25))
             }
             // A draining peer still answers the wire but admits
             // nothing; treat it as down so the compile fails over
             // instead of bouncing the drain error to the client.
-            Ok((_, Reply::Error(e))) if e.code.as_deref() == Some("shutting_down") => {
+            Ok(reply) if error_code(&reply) == Some("shutting_down") => {
                 Forwarded::Down("peer is draining for shutdown".to_string())
             }
-            Ok((reply, _)) => Forwarded::Line(reply),
+            Ok(_) => Forwarded::Line(text),
         }
     }
 
@@ -813,10 +934,10 @@ impl State {
     /// compiles are never replicated.
     fn handoff(&self, key: (u64, u64), owner: &str) {
         let Some(fleet) = &self.fleet else { return };
-        let Some(result) = self.artifacts.peek(key) else {
+        let Some(entry) = self.artifacts.peek(key) else {
             return;
         };
-        let artifact = mps::artifact::encode_result(key, &result);
+        let artifact = mps::artifact::encode_result(key, &entry.result);
         if fleet.table.is_forwardable(owner) && self.push_artifact(fleet, owner, &artifact) {
             self.peer_handoffs.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -835,9 +956,10 @@ impl State {
             artifact: Some(artifact.to_string()),
             ..Request::default()
         };
+        let reply = fleet.round_trip(addr, &req.to_line(), timeout);
         matches!(
-            fleet.round_trip(addr, &req.to_line(), timeout),
-            Ok((_, Reply::ArtifactPut(_)))
+            reply.and_then(|text| decode_peer_reply(&text)),
+            Ok(Reply::ArtifactPut(_))
         )
     }
 
@@ -924,9 +1046,12 @@ impl State {
         }
         let timeout = Duration::from_millis(self.opts.forward_timeout_ms.max(1))
             .min(Duration::from_millis(500));
-        match fleet.round_trip(addr, &Request::op("ping").to_line(), timeout) {
-            Ok((_, Reply::Pong(_))) => Ok(()),
-            Ok((_, other)) => Err(format!("unexpected probe reply: {other:?}")),
+        let text = fleet
+            .round_trip(addr, &Request::op("ping").to_line(), timeout)
+            .map_err(|e| e.to_string())?;
+        match decode_peer_reply(&text) {
+            Ok(Reply::Pong(_)) => Ok(()),
+            Ok(_) => Err(format!("unexpected probe reply: {text}")),
             Err(e) => Err(e.to_string()),
         }
     }
@@ -982,12 +1107,12 @@ impl State {
         };
         match mps::artifact::decode_result(text, None) {
             Ok((key, result)) => {
-                let result = Arc::new(result);
-                let stored = self.artifacts.seed(key, Ok(Arc::clone(&result)));
+                let entry = Arc::new(Artifact::new(result));
+                let stored = self.artifacts.seed(key, Ok(Arc::clone(&entry)));
                 if stored {
                     self.peer_handoffs_received.fetch_add(1, Ordering::Relaxed);
                     // A handed-off artifact is as durable as a local one.
-                    self.hand_off(Save::Result(key, result));
+                    self.hand_off(Save::Result(key, entry));
                 }
                 encode(&ArtifactPutReply {
                     ok: true,
@@ -1031,7 +1156,7 @@ impl State {
         let artifact = self
             .artifacts
             .peek(key)
-            .map(|result| mps::artifact::encode_result(key, &result));
+            .map(|entry| mps::artifact::encode_result(key, &entry.result));
         encode(&ArtifactGetReply {
             ok: true,
             op: "artifact_get".to_string(),
@@ -1106,7 +1231,7 @@ impl State {
             if let Ok(result) = &result {
                 self.hist.record_stages(&result.metrics);
             }
-            result.map(Arc::new)
+            result.map(|result| Arc::new(Artifact::new(result)))
         });
         let (outcome, cached) = match fetched {
             Ok(pair) => pair,
@@ -1125,51 +1250,37 @@ impl State {
     /// Render a compile's reply from its outcome and record its latency
     /// since `t0` (a worker's dequeue, or an inline hit's lookup; resolve
     /// and queue wait are not part of it), plus the save a fresh result
-    /// owes the disk.
+    /// owes the disk. A success is this request's head spliced onto the
+    /// artifact's reply tail, which only the first reply renders.
     fn compile_reply(
         &self,
         req: &Request,
         resolved: &Resolved,
         t0: Instant,
-        outcome: Result<Arc<CompileResult>, mps::MpsError>,
+        outcome: Result<Arc<Artifact>, mps::MpsError>,
         cached: bool,
     ) -> (String, Option<Save>) {
-        let key = resolved.key;
-        let engine = resolved.cfg.engine.name().to_string();
         let latency_sec = t0.elapsed().as_secs_f64();
         self.hist.total.record(latency_sec);
         if !cached {
             self.hist.accepted.record(latency_sec);
         }
         match outcome {
-            Ok(result) => {
+            Ok(entry) => {
                 self.log_compile(req, t0, cached, None);
-                let reply = encode(&CompileReply {
-                    ok: true,
-                    op: "compile".to_string(),
+                let head = CompileHead {
                     id: req.id,
-                    workload: resolved.workload.clone(),
-                    graph_hash: format!("{:016x}", key.0),
-                    config_hash: format!("{:016x}", key.1),
-                    engine,
+                    workload: &resolved.workload,
+                    key: resolved.key,
+                    engine: resolved.cfg.engine.name(),
                     cached,
                     latency_sec,
-                    patterns: result
-                        .selection
-                        .patterns
-                        .iter()
-                        .map(|p| p.to_string())
-                        .collect(),
-                    cycles: result.cycles as u64,
-                    schedule: result.schedule.to_string(),
-                    ii: result.ii.map(|n| n as u64),
-                    switches: result.switches.map(|n| n as u64),
-                    exec_cycles: result.exec.as_ref().map(|e| e.cycles as u64),
-                    fabric_tiles: result.fabric.as_ref().map(|m| m.tile_count() as u64),
-                    fabric_transfers: result.fabric.as_ref().map(|m| m.transfer_count() as u64),
-                    fabric_cycles: result.fabric.as_ref().map(|m| m.total_cycles),
-                });
-                (reply, (!cached).then_some(Save::Result(key, result)))
+                };
+                let reply = compile_reply_line(&head, entry.reply_tail());
+                (
+                    reply,
+                    (!cached).then_some(Save::Result(resolved.key, entry)),
+                )
             }
             Err(error) => {
                 if matches!(error, mps::MpsError::DeadlineExceeded { .. }) {
@@ -1398,9 +1509,10 @@ impl State {
                 Persist::Stop => break,
             };
             let (saved, counter) = match &save {
-                Save::Result(key, result) => {
-                    (store.save_result(*key, result), &self.artifacts_persisted)
-                }
+                Save::Result(key, entry) => (
+                    store.save_result(*key, &entry.result),
+                    &self.artifacts_persisted,
+                ),
                 Save::Table(graph, key, table) => {
                     (store.save_table(*graph, key, table), &self.tables_persisted)
                 }
@@ -1462,7 +1574,7 @@ impl Server {
                 max_entries: opts.effective_budget(opts.max_artifacts),
                 max_bytes: opts.effective_budget(opts.max_artifact_bytes),
             },
-            mps::approx_result_bytes,
+            Artifact::cost,
         );
         let tables = Arc::new(TableCache::with_budget(
             opts.effective_budget(opts.max_tables),
@@ -1482,7 +1594,7 @@ impl Server {
                     let report = s.load_results();
                     rejected = report.rejected as u64;
                     for (key, result) in report.loaded {
-                        if artifacts.seed(key, Ok(Arc::new(result))) {
+                        if artifacts.seed(key, Ok(Arc::new(Artifact::new(result)))) {
                             loaded += 1;
                         }
                     }
@@ -1893,7 +2005,7 @@ pub fn spawn_on(listener: TcpListener, opts: ServeOptions) -> std::thread::JoinH
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Reply;
+    use crate::protocol::{CompileReply, Reply};
 
     fn one_worker() -> ServeOptions {
         ServeOptions {
@@ -2028,9 +2140,11 @@ mod tests {
     #[test]
     fn a_panicking_resolve_is_answered_and_the_server_keeps_serving() {
         let server = Server::new(one_worker());
-        // Building this kernel overflows a capacity computation and panics.
-        let (reply, quit) =
-            server.handle_line(r#"{"op":"compile","workload":"fir18446744073709551615","id":3}"#);
+        // Parsing this fabric spec overflows a capacity computation and
+        // panics.
+        let (reply, quit) = server.handle_line(
+            r#"{"op":"compile","workload":"fig4","fabric":"18446744073709551615","id":3}"#,
+        );
         assert!(!quit);
         assert!(matches!(
             Reply::from_line(&reply).unwrap(),
@@ -2044,8 +2158,8 @@ mod tests {
         let stats = server.stats();
         assert_eq!((stats.compiles, stats.errors), (2, 1));
         // `peers` resolves on the connection thread as well.
-        let (reply, _) =
-            server.handle_line(r#"{"op":"peers","workload":"fir18446744073709551615"}"#);
+        let (reply, _) = server
+            .handle_line(r#"{"op":"peers","workload":"fig4","fabric":"18446744073709551615"}"#);
         assert!(matches!(
             Reply::from_line(&reply).unwrap(),
             Reply::Peers(p) if p.ok && p.owner.is_none()
@@ -2266,6 +2380,149 @@ mod tests {
             }
         }
         assert_eq!(server.stats().graph_memo_hits, 1);
+    }
+
+    /// The registry kernels the benchmark's request streams draw from.
+    const BENCH_KERNELS: [&str; 12] = [
+        "fig2",
+        "dft5",
+        "dct8",
+        "fir16",
+        "matmul3",
+        "fft8",
+        "horner8",
+        "cordic8",
+        "iir4",
+        "cholesky4",
+        "star32",
+        "conv3",
+    ];
+
+    /// A compile request for `source` (a registry name, or an inline
+    /// text when it holds a newline) under config `tail`: plain, tile
+    /// replay, one of the benchmark's two fabrics, or the widest capacity.
+    fn keyed(source: &str, tail: usize) -> Request {
+        let mut req = if source.contains('\n') {
+            inline(source)
+        } else {
+            by_name(source)
+        };
+        match tail {
+            0 => {}
+            1 => req.alus = Some(5),
+            2 => req.fabric = Some("2@1".to_string()),
+            3 => {
+                req.capacity = Some(3);
+                req.fabric = Some("4:3,16@2".to_string());
+            }
+            _ => req.capacity = Some(16),
+        }
+        req
+    }
+
+    #[test]
+    fn spliced_hit_and_miss_replies_match_the_whole_reply_encoder() {
+        let server = Server::new(one_worker());
+        let text =
+            "node x0 a\nnode x1 a\nnode y0 b\nnode z0 c\nedge x0 y0\nedge x1 y0\nedge y0 z0\n";
+        // Twenty independent nodes, half of them in colours past `z`: at
+        // capacity 16 its patterns are as wide as patterns get.
+        let wide: String = (0..20)
+            .map(|i| format!("node w{i} {}\n", ["a", "#30", "#200"][i % 3]))
+            .collect();
+        let sources = BENCH_KERNELS.iter().copied().chain([text]);
+        let grid = sources.flat_map(|source| (0..4).map(move |tail| (source, tail)));
+        // The widest capacity, on the kernels that compile quickly at it.
+        let widest = ["fig2", "fir16", "star32", "horner8", &wide].map(|source| (source, 4));
+        for (n, (source, tail)) in grid.chain(widest).enumerate() {
+            let req = keyed(source, tail);
+            let cfg = req.compile_config().expect("a valid config");
+            let dfg = match &req.graph {
+                Some(text) => mps::dfg::parse_text(text).expect("a valid graph"),
+                None => mps::workloads::by_name(source).expect("a registry kernel"),
+            };
+            let key = (dfg.content_hash(), cfg.content_hash());
+            let expected = Session::with_config(dfg, cfg.clone())
+                .compile()
+                .expect("every benchmark key compiles");
+            // A miss, then hits with and without an id.
+            for (cached, id) in [
+                (false, (n % 2 == 1).then_some(n as u64)),
+                (true, Some(u64::MAX)),
+                (true, None),
+            ] {
+                let (reply, _) = server.handle_line(&Request { id, ..req.clone() }.to_line());
+                let Reply::Compile(decoded) = Reply::from_line(&reply).expect("protocol") else {
+                    panic!("expected compile reply: {reply}");
+                };
+                let head = CompileHead {
+                    id,
+                    workload: req.workload.as_deref().unwrap_or("inline"),
+                    key,
+                    engine: cfg.engine.name(),
+                    cached,
+                    latency_sec: decoded.latency_sec,
+                };
+                assert_eq!(
+                    reply,
+                    encode(&CompileReply::of(&head, &expected)),
+                    "{source} / {tail}"
+                );
+            }
+            // The entry's charge covers the tail it now holds.
+            let entry = server.state.artifacts.peek(key).expect("a resident entry");
+            let tail_bytes = entry.reply_tail.get().expect("rendered by the miss").len();
+            let bound = reply_tail_bound(&entry.result);
+            assert!(
+                bound >= tail_bytes,
+                "{source} / {tail}: {bound} < {tail_bytes}"
+            );
+        }
+    }
+
+    #[test]
+    fn loaded_entries_render_their_reply_tail_on_first_hit() {
+        let donor = Server::new(one_worker());
+        let line = r#"{"op":"compile","workload":"dft5","alus":5}"#;
+        let (miss, _) = donor.handle_line(line);
+        let key = donor
+            .state
+            .resolve(&Request::from_line(line).unwrap())
+            .unwrap()
+            .key;
+        let computed = donor.state.artifacts.peek(key).expect("computed");
+        let mut put = Request::op("artifact_put");
+        put.artifact = Some(mps::artifact::encode_result(key, &computed.result));
+
+        // A handed-off entry is stored unrendered, charged as a computed one.
+        let receiver = Server::new(one_worker());
+        receiver.handle_line(&put.to_line());
+        let entry = receiver.state.artifacts.peek(key).expect("seeded");
+        assert!(entry.reply_tail.get().is_none());
+        assert_eq!(entry.cost(), computed.cost());
+        let (hit, _) = receiver.handle_line(line);
+        assert!(entry.reply_tail.get().is_some(), "the first hit renders it");
+        let flip =
+            |reply: &str| without_latency(reply).replace("\"cached\":true", "\"cached\":false");
+        assert_eq!(flip(&hit), without_latency(&miss));
+
+        // So is a warm-started one.
+        let dir = scratch_dir("lazy-tail");
+        let opts = ServeOptions {
+            cache_dir: Some(dir.clone()),
+            ..one_worker()
+        };
+        Server::new(opts.clone()).handle_line(&put.to_line());
+        let warm = Server::new(opts);
+        assert_eq!(warm.stats().artifacts_loaded, 1);
+        let entry = warm.state.artifacts.peek(key).expect("loaded");
+        assert!(
+            entry.reply_tail.get().is_none(),
+            "warm start renders nothing"
+        );
+        let (hit, _) = warm.handle_line(line);
+        assert_eq!(flip(&hit), without_latency(&miss));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2588,8 +2845,10 @@ mod tests {
 
     /// A stub fleet owner on loopback that counts the connections it
     /// accepts. Each connection gets its own thread, which answers every
-    /// request line with `answer` (`None` stalls: no reply, keep reading)
-    /// and, with `hang_up`, closes the connection after each reply. Drop
+    /// request line by writing `answer` verbatim (`None` stalls: no reply,
+    /// keep reading) and, with `hang_up`, closes the connection after each
+    /// reply. A whole reply ends in a newline; an answer without one is a
+    /// reply cut short, and the stub hangs up after it. Drop
     /// the server under test first: its pool holds the connections that
     /// the stub's threads are reading.
     struct StubOwner {
@@ -2632,8 +2891,8 @@ mod tests {
                                         let Some(reply) = answer(&req) else {
                                             continue;
                                         };
-                                        let _ = writeln!(stream, "{reply}");
-                                        if hang_up {
+                                        let _ = stream.write_all(reply.as_bytes());
+                                        if hang_up || !reply.ends_with('\n') {
                                             break;
                                         }
                                     }
@@ -2656,13 +2915,13 @@ mod tests {
             }
         }
 
-        /// Canned answers by verb: a pong, a real fig4 compile reply, an
-        /// acknowledged artifact put.
+        /// Canned answer lines by verb: a pong, a real fig4 compile
+        /// reply, an acknowledged artifact put.
         fn answers() -> impl Fn(&Request) -> Option<String> + Send + Sync + 'static {
             let (compiled, _) =
                 Server::new(one_worker()).handle_line(r#"{"op":"compile","workload":"fig4"}"#);
             move |req: &Request| {
-                Some(match req.op.as_str() {
+                let reply = match req.op.as_str() {
                     "ping" => encode(&PongReply {
                         ok: true,
                         op: "ping".to_string(),
@@ -2677,7 +2936,8 @@ mod tests {
                         stored: true,
                     }),
                     _ => compiled.clone(),
-                })
+                };
+                Some(reply + "\n")
             }
         }
 
@@ -2745,6 +3005,61 @@ mod tests {
         assert_eq!(stats.peer_failovers, 0);
         assert_eq!(stats.peer_dials, 1, "the boot probe's dial serves them all");
         assert_eq!(stub.accepted(), 1);
+    }
+
+    #[test]
+    fn forwarded_hits_reach_the_client_as_the_owner_sent_them() {
+        let (owned, _) =
+            Server::new(one_worker()).handle_line(r#"{"op":"compile","workload":"fig4"}"#);
+        let stub = StubOwner::spawn(false, StubOwner::answers());
+        let (non_owner, req) = stub.non_owner(2_000);
+        let (reply, _) = non_owner.handle_line(&req.to_line());
+        assert_eq!(without_latency(&reply), without_latency(&owned));
+        // The stub's canned reply is itself a fresh compile line; the
+        // relay must not have re-encoded anything, latency included.
+        let (again, _) = non_owner.handle_line(&req.to_line());
+        assert_eq!(again, reply);
+        assert_eq!(non_owner.stats().peer_forwards, 2);
+    }
+
+    #[test]
+    fn a_non_json_peer_reply_fails_over_to_local_compute() {
+        let answers = StubOwner::answers();
+        let stub = StubOwner::spawn(false, move |req| match req.op.as_str() {
+            "compile" => Some("mps says hello\n".to_string()),
+            _ => answers(req),
+        });
+        let (non_owner, req) = stub.non_owner(2_000);
+        let (reply, _) = non_owner.handle_line(&req.to_line());
+        let Reply::Compile(local) = Reply::from_line(&reply).unwrap() else {
+            panic!("failover must still answer: {reply}");
+        };
+        assert!(!local.cached);
+        let stats = non_owner.stats();
+        assert_eq!((stats.peer_forwards, stats.peer_failovers), (0, 1));
+    }
+
+    #[test]
+    fn a_success_reply_cut_short_fails_over_to_local_compute() {
+        // The stub writes the first half of its compile reply and hangs
+        // up, as `MPS_FAULT_DROP_REPLY_EVERY` does: the fragment opens
+        // like a success but is not one.
+        let answers = StubOwner::answers();
+        let stub = StubOwner::spawn(false, move |req| {
+            let reply = answers(req)?;
+            Some(match req.op.as_str() {
+                "compile" => reply[..reply.len() / 2].to_string(),
+                _ => reply,
+            })
+        });
+        let (non_owner, req) = stub.non_owner(2_000);
+        let (reply, _) = non_owner.handle_line(&req.to_line());
+        let Reply::Compile(local) = Reply::from_line(&reply).unwrap() else {
+            panic!("failover must still answer: {reply}");
+        };
+        assert!(!local.cached);
+        let stats = non_owner.stats();
+        assert_eq!((stats.peer_forwards, stats.peer_failovers), (0, 1));
     }
 
     #[test]
