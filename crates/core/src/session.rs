@@ -40,7 +40,7 @@ use mps_montium::{execute, ExecReport, TileParams};
 use mps_par::CancelToken;
 use mps_patterns::{EnumerateConfig, PatternSet, PatternTable};
 use mps_scheduler::{EngineSchedule, Schedule, ScheduleEngine, ScheduleTrace};
-use mps_select::{SelectConfig, SelectEngine, SelectionOutcome};
+use mps_select::{GeneticConfig, SelectConfig, SelectEngine, SelectionOutcome};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -89,16 +89,43 @@ impl CompileConfig {
     /// a `fabric: None` config hashes exactly as it did before the field
     /// existed, so every pre-fabric artifact on disk (keyed by this
     /// hash) stays addressable. Pinned by the `pre_fabric_*` fixtures.
+    ///
+    /// A genetic engine renders the retired `parallel: true` field its
+    /// config always carried by default, so genetic keys minted before
+    /// the field was removed stay addressable too.
     pub fn content_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let rendered = match &self.fabric {
-            None => format!(
-                "CompileConfig {{ select: {:?}, engine: {:?}, schedule: {:?}, tile: {:?} }}",
-                self.select, self.engine, self.schedule, self.tile
+        let CompileConfig {
+            select,
+            engine,
+            schedule,
+            tile,
+            fabric,
+        } = self;
+        let engine = match engine {
+            // No `..`: a field added later must decide its rendering here.
+            SelectEngine::Genetic(GeneticConfig {
+                population,
+                generations,
+                tournament,
+                mutation_pct,
+                seed,
+            }) => format!(
+                "Genetic(GeneticConfig {{ population: {population:?}, \
+                 generations: {generations:?}, tournament: {tournament:?}, \
+                 mutation_pct: {mutation_pct:?}, seed: {seed:?}, parallel: true }})"
             ),
-            Some(_) => format!("{self:?}"),
+            other => format!("{other:?}"),
         };
+        let fabric = match fabric {
+            None => String::new(),
+            Some(_) => format!(", fabric: {fabric:?}"),
+        };
+        let rendered = format!(
+            "CompileConfig {{ select: {select:?}, engine: {engine}, \
+             schedule: {schedule:?}, tile: {tile:?}{fabric} }}"
+        );
         let mut h = OFFSET;
         for b in rendered.bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(PRIME);
@@ -505,11 +532,11 @@ impl Session {
     /// [`mps_par::par_map`] — the serving shape: many independent kernels,
     /// one result (with per-item [`StageMetrics`]) each.
     ///
-    /// Per-item *internal* parallelism is disabled (`select.parallel =
-    /// false` in each item's config): with the fan-out across graphs
-    /// already saturating the workers, nested thread pools only add spawn
-    /// cost. Decisions are unaffected — the parallel and sequential paths
-    /// of every stage are decision-identical (property-tested).
+    /// Each item's config sets `select.parallel = false`, so the fan-out
+    /// across graphs is the only level of parallelism: an exhaustive
+    /// item schedules its subsets on its own worker. Decisions are
+    /// unaffected — exhaustive's parallel and sequential searches pick
+    /// the same set (property-tested).
     pub fn compile_batch(
         dfgs: &[Dfg],
         cfg: &CompileConfig,

@@ -1,21 +1,18 @@
 //! Minimal data-parallel substrate for the MPS workspace.
 //!
-//! The multi-pattern scheduling pipeline contains two embarrassingly parallel
-//! hot spots: span-limited antichain enumeration (one independent search tree
-//! per root node) and the Monte-Carlo random-pattern baseline (independent
-//! trials). `rayon` is not part of the approved offline dependency set, so
-//! this crate provides the small slice of its functionality we need, built on
-//! [`crossbeam`]'s scoped threads:
+//! Parallelism lives where it is measured to pay on a two-core box:
+//! across independent kernels (`mps::Session::compile_batch_in` and the
+//! `mps-serve` worker pool) and across the scheduling runs of an
+//! exhaustive pattern-subset search. Everything
+//! inside one ordinary compile runs on the calling thread. `rayon` is
+//! not part of the approved offline dependency set, so this crate
+//! provides the small slice of its functionality those callers need,
+//! built on [`crossbeam`]'s scoped threads:
 //!
-//! * [`par_map`] / [`par_map_indexed`] — order-preserving parallel map.
+//! * [`par_map`] / [`par_map_in`] — order-preserving parallel map.
 //!   Workers claim contiguous index chunks from a shared atomic counter and
 //!   write results directly into their final slots of the output buffer:
 //!   no channel, no per-item message, no `Vec<Option<U>>` re-collect.
-//! * [`par_fold`] — per-worker local accumulators merged once at the end,
-//!   so reductions combine `T` thread-locals instead of one partial per
-//!   item (the Table 5 span histogram).
-//! * [`par_reduce`] — parallel map + associative fold,
-//! * [`par_for_each`] — side-effecting variant,
 //! * [`parallelism`] — thread-count heuristic honouring `MPS_THREADS`,
 //! * [`BoundedQueue`] — a blocking bounded MPMC queue, the admission
 //!   primitive of the `mps-serve` daemon (backpressure on producers, clean
@@ -25,9 +22,8 @@
 //!   polled by the pattern-table build, so cancelled work stops instead
 //!   of running to completion.
 //!
-//! All entry points fall back to straight sequential execution when the input
-//! is small or only one hardware thread is available, so callers never pay
-//! thread-spawn latency for tiny inputs.
+//! Both maps fall back to straight sequential execution when the input
+//! has fewer than two items or only one worker is available.
 //!
 //! The only `unsafe` in the crate is the disjoint-chunk output write in
 //! the `fill` module; everything else is `#[deny(unsafe_code)]`-clean.
@@ -42,15 +38,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 mod cancel;
-mod chunk;
 #[allow(unsafe_code)] // isolated disjoint-chunk writes; see module docs
 mod fill;
 mod queue;
 pub use cancel::{CancelKind, CancelToken};
-pub use chunk::chunk_ranges;
 pub use queue::{BoundedQueue, PushError};
 
 /// Inputs shorter than this are always processed sequentially. Two is the
@@ -135,14 +127,11 @@ where
     fill::fill_indexed(len, workers, chunk_size(len, workers), |i| f(&items[i]))
 }
 
-/// Parallel map over the index range `0..len`, preserving index order.
-///
-/// This is the workhorse behind [`par_map`]; use it directly when the work
-/// items are described by an index rather than a slice element. Results are
-/// written straight into their final slots of the output vector (the
-/// `fill` module), so the only coordination cost is one atomic increment per
-/// claimed chunk.
-pub fn par_map_indexed<U, F>(len: usize, f: F) -> Vec<U>
+/// Parallel map over the index range `0..len`, preserving index order:
+/// the workhorse behind [`par_map`]. Results are written straight into
+/// their final slots of the output vector (the `fill` module), so the
+/// only coordination cost is one atomic increment per claimed chunk.
+fn par_map_indexed<U, F>(len: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
@@ -152,100 +141,6 @@ where
         return (0..len).map(f).collect();
     }
     fill::fill_indexed(len, workers, chunk_size(len, workers), f)
-}
-
-/// Parallel fold: one private accumulator per worker, merged at the end.
-///
-/// Every worker builds an accumulator with `make`, folds each item of the
-/// chunks it claims into it with `fold`, and the per-worker accumulators
-/// are combined pairwise with `merge` once all items are consumed. Only
-/// `T` partials are ever merged (T = worker count), independent of the
-/// item count — the right shape for reductions whose accumulator is big
-/// (histograms, frequency tables) where per-item partials would dominate.
-///
-/// Which items land in which accumulator depends on scheduling, so
-/// `fold`/`merge` must be insensitive to grouping and order (counting,
-/// summing and histogram merges are; appending to an ordered list is not).
-/// `make` must return a neutral accumulator: `merge(make(), a) ≡ a`.
-pub fn par_fold<T, A, M, F, R>(items: &[T], make: M, fold: F, merge: R) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn() -> A + Sync,
-    F: Fn(&mut A, &T) + Sync,
-    R: Fn(A, A) -> A,
-{
-    let workers = parallelism().min(items.len().max(1));
-    if workers <= 1 || items.len() < SEQUENTIAL_CUTOFF {
-        let mut acc = make();
-        for item in items {
-            fold(&mut acc, item);
-        }
-        return acc;
-    }
-    let chunk = chunk_size(items.len(), workers);
-    let next = AtomicUsize::new(0);
-    let locals: Vec<A> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let (next, make, fold) = (&next, &make, &fold);
-                scope.spawn(move |_| {
-                    let mut acc = make();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
-                            break;
-                        }
-                        for item in &items[start..(start + chunk).min(items.len())] {
-                            fold(&mut acc, item);
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(acc) => acc,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-    .expect("worker thread panicked");
-    locals
-        .into_iter()
-        .reduce(merge)
-        .expect("at least one worker ran")
-}
-
-/// Parallel map + associative fold.
-///
-/// Computes `f` for every element, then combines the results with `fold`,
-/// starting from `identity`. `fold` must be associative and `identity` must
-/// be its neutral element; the combination order is otherwise unspecified.
-pub fn par_reduce<T, U, F, R>(items: &[T], identity: U, f: F, fold: R) -> U
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-    R: Fn(U, U) -> U,
-{
-    par_map(items, f).into_iter().fold(identity, fold)
-}
-
-/// Run `f` on every element, in parallel, for its side effects.
-///
-/// The closure only receives `&T`; shared mutable state must be synchronized
-/// by the caller (e.g. with atomics or `parking_lot` locks).
-pub fn par_for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    par_map(items, |t| {
-        f(t);
-    });
 }
 
 #[cfg(test)]
@@ -323,70 +218,6 @@ mod tests {
             let seq: Vec<usize> = (0..len).collect();
             assert_eq!(out, seq, "len={len}");
         }
-    }
-
-    #[test]
-    fn par_reduce_sums() {
-        let input: Vec<u64> = (1..=1000).collect();
-        let sum = par_reduce(&input, 0u64, |&x| x, |a, b| a + b);
-        assert_eq!(sum, 500_500);
-    }
-
-    #[test]
-    fn par_reduce_identity_on_empty() {
-        let sum = par_reduce(&[] as &[u64], 7u64, |&x| x, |a, b| a + b);
-        assert_eq!(sum, 7);
-    }
-
-    #[test]
-    fn par_fold_sums_like_sequential() {
-        let items: Vec<u64> = (0..5000).collect();
-        let total = par_fold(&items, || 0u64, |acc, &x| *acc += x, |a, b| a + b);
-        assert_eq!(total, 5000 * 4999 / 2);
-    }
-
-    #[test]
-    fn par_fold_histogram_merges() {
-        let items: Vec<u64> = (0..997).collect();
-        let hist = par_fold(
-            &items,
-            || [0u64; 7],
-            |h, &x| h[(x % 7) as usize] += 1,
-            |mut a, b| {
-                for (d, s) in a.iter_mut().zip(b.iter()) {
-                    *d += s;
-                }
-                a
-            },
-        );
-        let mut expect = [0u64; 7];
-        for x in 0..997u64 {
-            expect[(x % 7) as usize] += 1;
-        }
-        assert_eq!(hist, expect);
-    }
-
-    #[test]
-    fn par_fold_empty_returns_neutral() {
-        let acc = par_fold(&[] as &[u64], || 42u64, |a, &x| *a += x, |a, b| a + b);
-        assert_eq!(acc, 42);
-    }
-
-    #[test]
-    fn par_fold_single_item() {
-        let acc = par_fold(&[5u64], || 0u64, |a, &x| *a += x, |a, b| a + b);
-        assert_eq!(acc, 5);
-    }
-
-    #[test]
-    fn par_for_each_visits_everything() {
-        use std::sync::atomic::AtomicU64;
-        let input: Vec<u64> = (0..500).collect();
-        let total = AtomicU64::new(0);
-        par_for_each(&input, |&x| {
-            total.fetch_add(x, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 500 * 499 / 2);
     }
 
     #[test]

@@ -30,6 +30,11 @@
 //! that this does not pay run the DFS fold
 //! ([`PatternTable::build_dfs`]), which packs each antichain's color bag
 //! into a `u128` key and interns it into a dense [`PatternId`].
+//!
+//! Everything here runs on the calling thread, [`span_histogram`]
+//! included. The one exception is [`PatternTable::build_reference`], the
+//! seed oracle, which spreads its enumeration roots over threads when
+//! [`EnumerateConfig::parallel`] is set.
 
 // `deny`, not `forbid`: the one sanctioned exception is the AVX2 variant
 // of the enumerator's word kernel in [`bits`], which scopes an

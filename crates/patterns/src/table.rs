@@ -4,7 +4,9 @@
 use crate::bits::BitIter;
 use crate::cover::CoverMatrix;
 use crate::dag::{Abort, DagStats};
-use crate::enumerate::{for_each_antichain_from_root, AntichainEnumerator, EnumerateConfig};
+use crate::enumerate::{
+    for_each_antichain, for_each_antichain_from_root, AntichainEnumerator, EnumerateConfig,
+};
 use crate::key::{KeyInterner, PatternKey};
 use crate::pattern::Pattern;
 use mps_dfg::{AnalyzedDfg, Antichain, NodeId};
@@ -691,38 +693,17 @@ impl fmt::Display for SpanHistogram {
 /// them by (exact span, size). Reproduces Table 5 via
 /// [`SpanHistogram::cumulative`].
 ///
-/// Workers fold into flat per-thread histograms (one reusable enumerator
-/// each); `T` thread-locals are merged instead of one partial per root.
+/// One enumerator walk fills one flat histogram.
 pub fn span_histogram(adfg: &AnalyzedDfg, max_size: usize, max_span: u32) -> SpanHistogram {
-    let roots: Vec<NodeId> = adfg.dfg().node_ids().collect();
     let cfg = EnumerateConfig {
         capacity: max_size,
         span_limit: Some(max_span),
-        parallel: true,
+        parallel: false,
     };
-    let rows = max_span as usize + 1;
-    let flat = mps_par::par_fold(
-        &roots,
-        || {
-            (
-                AntichainEnumerator::new(adfg, cfg),
-                vec![0u64; rows * max_size],
-            )
-        },
-        |acc, &root| {
-            let (en, hist) = acc;
-            en.enumerate_root(root, |a, span| {
-                hist[span as usize * max_size + (a.len() - 1)] += 1;
-            });
-        },
-        |mut a, b| {
-            for (d, s) in a.1.iter_mut().zip(b.1.iter()) {
-                *d += s;
-            }
-            a
-        },
-    )
-    .1;
+    let mut flat = vec![0u64; (max_span as usize + 1) * max_size];
+    for_each_antichain(adfg, cfg, |a, span| {
+        flat[span as usize * max_size + (a.len() - 1)] += 1;
+    });
     let exact = flat.chunks(max_size).map(|r| r.to_vec()).collect();
     SpanHistogram {
         exact,

@@ -41,7 +41,15 @@ pub struct SelectConfig {
     /// slots whenever fabrication triggers; padding is a strict
     /// improvement but is off by default to stay paper-exact.
     pub pad_fabricated: bool,
-    /// Enumerate antichains on multiple threads.
+    /// Let the two remaining intra-compile fan-outs use threads: the
+    /// exhaustive search's subset batches ([`crate::exhaustive_best`],
+    /// the one fan-out measured to pay on two cores) and, through
+    /// [`SelectConfig::enumerate_config`], the enumeration roots of
+    /// [`mps_patterns::PatternTable::build_reference`]. Nothing else in a
+    /// compile reads it, and no decision depends on it. On by default;
+    /// callers that already run one compile per thread (the `mps-serve`
+    /// workers, `mps::Session::compile_batch_in`) turn it off so there is
+    /// one level of parallelism.
     pub parallel: bool,
 }
 

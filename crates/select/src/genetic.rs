@@ -36,11 +36,6 @@ pub struct GeneticConfig {
     pub mutation_pct: u32,
     /// RNG seed; the whole search is deterministic per seed.
     pub seed: u64,
-    /// Evaluate each generation's fitness batch on multiple threads.
-    /// Genome generation stays sequential (it drives the RNG), so the
-    /// search is deterministic per seed in both modes — fitness is a pure
-    /// function of the individual.
-    pub parallel: bool,
 }
 
 impl Default for GeneticConfig {
@@ -51,7 +46,6 @@ impl Default for GeneticConfig {
             tournament: 3,
             mutation_pct: 30,
             seed: 0xbeef,
-            parallel: true,
         }
     }
 }
@@ -76,20 +70,9 @@ fn fitness(adfg: &AnalyzedDfg, set: &PatternSet, sched: MultiPatternConfig) -> u
     }
 }
 
-/// Fitness of a whole batch — the per-generation scoring inner loop. Each
-/// evaluation is an independent scheduling run, so the batch fans out over
-/// [`mps_par::par_map`] when asked to; results are identical either way.
-fn fitness_batch(
-    adfg: &AnalyzedDfg,
-    sets: &[PatternSet],
-    sched: MultiPatternConfig,
-    parallel: bool,
-) -> Vec<usize> {
-    if parallel {
-        mps_par::par_map(sets, |set| fitness(adfg, set, sched))
-    } else {
-        sets.iter().map(|set| fitness(adfg, set, sched)).collect()
-    }
+/// Fitness of a whole batch — the per-generation scoring inner loop.
+fn fitness_batch(adfg: &AnalyzedDfg, sets: &[PatternSet], sched: MultiPatternConfig) -> Vec<usize> {
+    sets.iter().map(|set| fitness(adfg, set, sched)).collect()
 }
 
 /// Uniform crossover: each member slot takes a pattern from either
@@ -171,8 +154,8 @@ pub fn evolve_patterns(
     let mut evaluated = 0usize;
 
     // Seed population: the given seeds cycled, mutated past the first
-    // copy so the population starts diverse. Genomes first (sequential —
-    // they drive the RNG), then one fitness batch.
+    // copy so the population starts diverse. Genomes first (they drive
+    // the RNG), then one fitness batch.
     let individuals: Vec<PatternSet> = (0..cfg.population)
         .map(|i| {
             let base = &seeds[i % seeds.len()];
@@ -183,7 +166,7 @@ pub fn evolve_patterns(
             }
         })
         .collect();
-    let fits = fitness_batch(adfg, &individuals, sched, cfg.parallel);
+    let fits = fitness_batch(adfg, &individuals, sched);
     evaluated += individuals.len();
     let mut pop: Vec<(usize, PatternSet)> = fits.into_iter().zip(individuals).collect();
     let initial_cycles = pop
@@ -211,7 +194,7 @@ pub fn evolve_patterns(
                 child
             })
             .collect();
-        let fits = fitness_batch(adfg, &children, sched, cfg.parallel);
+        let fits = fitness_batch(adfg, &children, sched);
         evaluated += children.len();
         let mut next: Vec<(usize, PatternSet)> = Vec::with_capacity(cfg.population);
         next.push(pop[0].clone()); // elitism
@@ -306,37 +289,6 @@ mod tests {
             let child = crossover(&adfg, &a, &b, &mut rng);
             assert!(child.covers(&adfg.dfg().color_set()));
         }
-    }
-
-    #[test]
-    fn parallel_fitness_changes_nothing() {
-        // Genome generation is rng-sequential in both modes and fitness is
-        // pure, so the whole search must be mode-invariant.
-        let adfg = AnalyzedDfg::new(fig2());
-        let seed = eq8(&adfg, 3);
-        let seq = evolve_patterns(
-            &adfg,
-            std::slice::from_ref(&seed),
-            &[],
-            GeneticConfig {
-                parallel: false,
-                ..quick()
-            },
-            Default::default(),
-        );
-        let par = evolve_patterns(
-            &adfg,
-            &[seed],
-            &[],
-            GeneticConfig {
-                parallel: true,
-                ..quick()
-            },
-            Default::default(),
-        );
-        assert_eq!(seq.patterns, par.patterns);
-        assert_eq!(seq.cycles, par.cycles);
-        assert_eq!(seq.evaluated, par.evaluated);
     }
 
     #[test]

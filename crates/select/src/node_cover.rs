@@ -23,9 +23,7 @@
 //! original per-node scan as the decision oracle.
 
 use crate::config::SelectConfig;
-use crate::select::{
-    color_condition_holds, deleted_by, packed_keys, RoundInfo, SelectionOutcome, PAR_SCORE_CUTOFF,
-};
+use crate::select::{color_condition_holds, deleted_by, packed_keys, RoundInfo, SelectionOutcome};
 use mps_dfg::AnalyzedDfg;
 use mps_patterns::{Pattern, PatternId, PatternSet, PatternTable};
 
@@ -73,15 +71,9 @@ pub fn node_cover_from_table(
     // argmax of the Eq. 8 engine applies verbatim — with the round-
     // invariant antichain count as the secondary key.
     let gain_one = |i: u32, covered: &[u64]| cover.count_uncovered(PatternId(i), covered) as u64;
-    let initial: Vec<u64> = if cfg.parallel && stats.len() >= PAR_SCORE_CUTOFF {
-        let ids: Vec<u32> = (0..stats.len() as u32).collect();
-        mps_par::par_map(&ids, |&i| gain_one(i, &covered))
-    } else {
-        (0..stats.len() as u32)
-            .map(|i| gain_one(i, &covered))
-            .collect()
-    };
-    let mut gains = initial;
+    let mut gains: Vec<u64> = (0..stats.len() as u32)
+        .map(|i| gain_one(i, &covered))
+        .collect();
     let mut heap = std::collections::BinaryHeap::with_capacity(stats.len());
     for (i, &g) in gains.iter().enumerate() {
         heap.push(GainEntry {
@@ -381,7 +373,7 @@ mod tests {
     }
 
     /// Cover engine vs dense oracle on the worked examples, with and
-    /// without the color condition, both execution modes.
+    /// without the color condition.
     #[test]
     fn engine_matches_reference() {
         for dfg in [fig2(), fig4()] {
@@ -395,19 +387,16 @@ mod tests {
             );
             for pdef in [1usize, 2, 3, 5] {
                 for color_condition in [true, false] {
-                    for parallel in [false, true] {
-                        let scfg = SelectConfig {
-                            pdef,
-                            color_condition,
-                            parallel,
-                            ..Default::default()
-                        };
-                        assert_eq!(
-                            node_cover_from_table(&adfg, &table, &scfg),
-                            node_cover_from_table_reference(&adfg, &table, &scfg),
-                            "pdef={pdef} cond={color_condition} par={parallel}"
-                        );
-                    }
+                    let scfg = SelectConfig {
+                        pdef,
+                        color_condition,
+                        ..Default::default()
+                    };
+                    assert_eq!(
+                        node_cover_from_table(&adfg, &table, &scfg),
+                        node_cover_from_table_reference(&adfg, &table, &scfg),
+                        "pdef={pdef} cond={color_condition}"
+                    );
                 }
             }
         }

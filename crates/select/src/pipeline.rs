@@ -77,7 +77,8 @@ impl RandomBaseline {
 
 /// Run the paper's random baseline: `trials` independent draws of `pdef`
 /// random covering patterns, each scheduled; the paper reports the mean of
-/// 10 trials. Trials run in parallel and are reproducible from `seed`.
+/// 10 trials. Trials run in order on the calling thread, each from its
+/// own RNG derived from `seed`.
 pub fn random_baseline(
     adfg: &AnalyzedDfg,
     pdef: usize,
@@ -87,15 +88,16 @@ pub fn random_baseline(
     sched: MultiPatternConfig,
 ) -> RandomBaseline {
     let colors = adfg.dfg().color_set();
-    let indices: Vec<u64> = (0..trials as u64).collect();
-    let runs: Vec<(usize, PatternSet)> = mps_par::par_map(&indices, |&t| {
-        let mut rng = StdRng::seed_from_u64(seed ^ (t.wrapping_mul(0x9E3779B97F4A7C15)));
-        let patterns = random_patterns(&colors, pdef, capacity, &mut rng);
-        let cycles = schedule_multi_pattern(adfg, &patterns, sched)
-            .map(|r| r.schedule.len())
-            .expect("random covering patterns are always schedulable");
-        (cycles, patterns)
-    });
+    let runs: Vec<(usize, PatternSet)> = (0..trials as u64)
+        .map(|t| {
+            let mut rng = StdRng::seed_from_u64(seed ^ (t.wrapping_mul(0x9E3779B97F4A7C15)));
+            let patterns = random_patterns(&colors, pdef, capacity, &mut rng);
+            let cycles = schedule_multi_pattern(adfg, &patterns, sched)
+                .map(|r| r.schedule.len())
+                .expect("random covering patterns are always schedulable");
+            (cycles, patterns)
+        })
+        .collect();
     let best_patterns = runs
         .iter()
         .min_by_key(|(c, _)| *c)

@@ -9,9 +9,8 @@
 //!   (`dirty`, one word-wise AND). Each round seeds the scan with the
 //!   highest cached bound and then sweeps the survivors: a candidate
 //!   whose bound cannot beat the running best is settled by one float
-//!   compare, and only genuine contenders are rescored. The initial full
-//!   scoring fans out over [`mps_par::par_map`], and fabricated rounds
-//!   invalidate nothing.
+//!   compare, and only genuine contenders are rescored. Fabricated
+//!   rounds invalidate nothing.
 //! * [`select_from_table_reference`] — the full-rescore, dense-walk loop
 //!   this crate shipped first, kept as the decision oracle (the property
 //!   suite asserts outcome equality, priorities included bit-for-bit) and
@@ -79,12 +78,6 @@ pub(crate) fn deleted_by(
     }
 }
 
-/// Rescore batches at least this large fan out over [`mps_par::par_map`]
-/// (when the config asks for parallelism at all). Small enough that the
-/// parallel path is exercised by ordinary test tables, large enough that
-/// trivial rounds skip the thread-spawn cost.
-pub(crate) const PAR_SCORE_CUTOFF: usize = 32;
-
 /// Run the §5.2 selection algorithm against a prebuilt pattern table —
 /// the cover engine (see the module docs; decision-identical to
 /// [`select_from_table_reference`]).
@@ -117,17 +110,10 @@ pub fn select_from_table(
     // fall to one float compare, and rescoring uses the reference's own
     // [`eq8_priority`], so the winning priorities are bit-identical by
     // construction.
-    let mut scores: Vec<f64> = if cfg.parallel && stats.len() >= PAR_SCORE_CUTOFF {
-        let ids: Vec<u32> = (0..stats.len() as u32).collect();
-        mps_par::par_map(&ids, |&i| {
-            eq8_priority(&stats[i as usize], &selected_freq, cfg)
-        })
-    } else {
-        stats
-            .iter()
-            .map(|s| eq8_priority(s, &selected_freq, cfg))
-            .collect()
-    };
+    let mut scores: Vec<f64> = stats
+        .iter()
+        .map(|s| eq8_priority(s, &selected_freq, cfg))
+        .collect();
     let mut dirty = vec![false; stats.len()];
     let packed = packed_keys(stats);
     // Alive candidates, ascending (kept sorted by `retain`): scan order
@@ -576,7 +562,7 @@ mod tests {
         }
     }
 
-    /// Cover engine vs reference, every toggle combination, both modes —
+    /// Cover engine vs reference, every toggle combination —
     /// outcomes must match exactly, priorities bit-for-bit. (Random-DAG
     /// coverage lives in the `prop_select_cover` suite.)
     #[test]
@@ -598,24 +584,21 @@ mod tests {
                     (true, true, false, false),
                     (false, false, false, true),
                 ] {
-                    for parallel in [false, true] {
-                        let scfg = SelectConfig {
-                            pdef,
-                            size_bonus,
-                            balancing,
-                            color_condition,
-                            pad_fabricated: pad,
-                            parallel,
-                            ..Default::default()
-                        };
-                        let fast = select_from_table(&adfg, &table, &scfg);
-                        let slow = select_from_table_reference(&adfg, &table, &scfg);
-                        assert_eq!(
-                            fast, slow,
-                            "pdef={pdef} bonus={size_bonus} bal={balancing} \
-                             cond={color_condition} pad={pad} par={parallel}"
-                        );
-                    }
+                    let scfg = SelectConfig {
+                        pdef,
+                        size_bonus,
+                        balancing,
+                        color_condition,
+                        pad_fabricated: pad,
+                        ..Default::default()
+                    };
+                    let fast = select_from_table(&adfg, &table, &scfg);
+                    let slow = select_from_table_reference(&adfg, &table, &scfg);
+                    assert_eq!(
+                        fast, slow,
+                        "pdef={pdef} bonus={size_bonus} bal={balancing} \
+                         cond={color_condition} pad={pad}"
+                    );
                 }
             }
         }

@@ -42,33 +42,29 @@ fn check_strategies(adfg: &AnalyzedDfg, span_limit: Option<u32>, pdef: usize) {
             parallel: false,
         },
     );
-    for parallel in [false, true] {
-        for color_condition in [true, false] {
-            let cfg = SelectConfig {
-                pdef,
-                span_limit,
-                parallel,
-                color_condition,
-                ..Default::default()
-            };
-            let what =
-                format!("span={span_limit:?} pdef={pdef} par={parallel} cond={color_condition}");
-            assert_eq!(
-                select_from_table(adfg, &table, &cfg),
-                select_from_table_reference(adfg, &table, &cfg),
-                "eq8 {what}"
-            );
-            assert_eq!(
-                node_cover_from_table(adfg, &table, &cfg),
-                node_cover_from_table_reference(adfg, &table, &cfg),
-                "node_cover {what}"
-            );
-            assert_eq!(
-                coverage_greedy_from_table(adfg, &table, &cfg),
-                coverage_greedy_from_table_reference(adfg, &table, &cfg),
-                "coverage {what}"
-            );
-        }
+    for color_condition in [true, false] {
+        let cfg = SelectConfig {
+            pdef,
+            span_limit,
+            color_condition,
+            ..Default::default()
+        };
+        let what = format!("span={span_limit:?} pdef={pdef} cond={color_condition}");
+        assert_eq!(
+            select_from_table(adfg, &table, &cfg),
+            select_from_table_reference(adfg, &table, &cfg),
+            "eq8 {what}"
+        );
+        assert_eq!(
+            node_cover_from_table(adfg, &table, &cfg),
+            node_cover_from_table_reference(adfg, &table, &cfg),
+            "node_cover {what}"
+        );
+        assert_eq!(
+            coverage_greedy_from_table(adfg, &table, &cfg),
+            coverage_greedy_from_table_reference(adfg, &table, &cfg),
+            "coverage {what}"
+        );
     }
 }
 
@@ -77,7 +73,7 @@ proptest! {
 
     /// The acceptance property of the cover-engine rewrite: fast and
     /// reference selection are indistinguishable on random DAGs for every
-    /// span limit the paper exercises, sequentially and in parallel.
+    /// span limit the paper exercises.
     #[test]
     fn selection_matches_reference_on_random_dags(
         n in 1usize..=MAX_NODES,

@@ -102,9 +102,11 @@ impl Client {
     /// it arrived, before its newline) is reported as `InvalidData`, so a
     /// caller can tell a request that was never answered from one that was
     /// cut mid-reply, and never takes a fragment for a whole reply.
+    ///
+    /// The line and its newline go out in one write: under `TCP_NODELAY`
+    /// two writes can be two segments and two server wake-ups.
     pub fn send_line(&mut self, line: &str) -> io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
         let mut reply = String::new();
         match self.reader.read_line(&mut reply) {
             Ok(0) => Err(io::Error::new(

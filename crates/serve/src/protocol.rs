@@ -18,6 +18,7 @@
 //! pin server answers against direct [`mps::Session`] compiles.
 
 use crate::json;
+use mps::patterns::MAX_PATTERN_SLOTS;
 use mps::{CompileConfig, CompileResult, ScheduleEngine, SelectEngine};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
@@ -204,9 +205,11 @@ impl Request {
     /// The [`CompileConfig`] this request describes — the single source
     /// of truth for request → config, shared with the equivalence tests.
     ///
-    /// Per-request enumeration runs **sequential** (`parallel = false`):
-    /// the server already fans out *across* requests, and nested
-    /// parallelism would oversubscribe the worker pool.
+    /// `select.parallel` is `false`: the server already runs one compile
+    /// per worker, so an exhaustive search schedules its subsets on that
+    /// worker instead of spawning threads of its own. A `capacity` outside
+    /// `1..=16` (the enumerator's range) is an error here, before the
+    /// request reaches a worker.
     pub fn compile_config(&self) -> Result<CompileConfig, String> {
         let engine = match &self.engine {
             None => SelectEngine::default(),
@@ -224,6 +227,11 @@ impl Request {
             cfg.select.pdef = pdef;
         }
         if let Some(capacity) = self.capacity {
+            if !(1..=MAX_PATTERN_SLOTS).contains(&capacity) {
+                return Err(format!(
+                    "\"capacity\" must be in 1..={MAX_PATTERN_SLOTS}, got {capacity}"
+                ));
+            }
             cfg.select.capacity = capacity;
         }
         if let Some(span) = self.span {
@@ -956,6 +964,55 @@ mod tests {
         let mut bad = Request::op("compile");
         bad.engine = Some("quantum".to_string());
         assert!(bad.compile_config().unwrap_err().contains("quantum"));
+    }
+
+    /// Config hashes of wire requests, pinned: every engine name
+    /// `SelectEngine::parse` accepts × a few request shapes. Each is half
+    /// of an artifact key the daemon persists (`cr-<graph>-<config>`), so
+    /// a change here orphans artifacts on disk.
+    #[rustfmt::skip]
+    const GOLDEN_CONFIG_HASHES: [(&str, [u64; 5]); 12] = [
+        ("eq8", [0x34573ca9477bab70, 0xbe9ed3da5d80f4ac, 0x946d90ac36938f99, 0x345f185510316802, 0x47872879c7188e05]),
+        ("cover", [0x34573ca9477bab70, 0xbe9ed3da5d80f4ac, 0x946d90ac36938f99, 0x345f185510316802, 0x47872879c7188e05]),
+        ("eq8-reference", [0xb231e3774ab70901, 0x880adaeff135567f, 0x4a6321f4fa8d2e84, 0x5d1d69281905c76b, 0x8cce7ee3fa6e738a]),
+        ("reference", [0xb231e3774ab70901, 0x880adaeff135567f, 0x4a6321f4fa8d2e84, 0x5d1d69281905c76b, 0x8cce7ee3fa6e738a]),
+        ("node-cover", [0x21afcb8934a4c597, 0x2e5c240bb30d3779, 0x6f1543d68afcf322, 0xa80a6447593e6501, 0xc40ea3f3b2e164ce]),
+        ("node-cover-reference", [0xc515132295cc7b54, 0x05819ad3b82f69d8, 0x3d8c91facd2117ed, 0x310af213e717fe9e, 0x1153d94679095c3f]),
+        ("coverage", [0x9691ecbdd9aac1fa, 0x4a691f19e5cbb20a, 0x8a5f31934f6798ab, 0xa339c06c0a477f6c, 0x12e169c763ce1339]),
+        ("coverage-reference", [0x859a4d638b403ac3, 0xb64d152fcd49837d, 0x96bc55a1c8e4e2ae, 0x6fe7a0cc7b540945, 0xcd9c76e115af5116]),
+        ("exhaustive", [0xfdaedde8c0b316a1, 0x080356f9b6f0155f, 0x1c91ff9ef5f804e4, 0x4579c064d9b6dd37, 0xf700cd21f00fafe8]),
+        ("genetic", [0xbfe90c8f35f91674, 0x668e74a996ed8938, 0xe261ac63315cf84d, 0x0311618b00951846, 0x2ae11dafb521c0df]),
+        ("anneal", [0x680ca0be6fc1b98f, 0x20028eb88835f201, 0xb656a1a03516bb8a, 0x369e8ae66c563f91, 0xe4a87de8c0cf0846]),
+        ("random", [0xabf46bbce29d949e, 0x90797eebce006bd6, 0xefd5860c8a9c433f, 0xfb3a95e2908f0618, 0x42271ebc0da5c96d]),
+    ];
+
+    #[test]
+    fn wire_config_hashes_are_pinned() {
+        let shapes = [
+            "",
+            r#","alus":5"#,
+            r#","fabric":"2@1""#,
+            r#","pdef":3,"span":2"#,
+            r#","capacity":4"#,
+        ];
+        for (engine, want) in GOLDEN_CONFIG_HASHES {
+            assert!(SelectEngine::parse(engine).is_some(), "{engine}");
+            for (shape, want) in shapes.iter().zip(want) {
+                let line =
+                    format!(r#"{{"op":"compile","workload":"fig2","engine":"{engine}"{shape}}}"#);
+                let got = Request::from_line(&line)
+                    .unwrap()
+                    .compile_config()
+                    .unwrap()
+                    .content_hash();
+                assert_eq!(got, want, "{line}: {got:#018x}");
+            }
+        }
+        assert_eq!(
+            CompileConfig::default().content_hash(),
+            0x9083c92e73e569a1,
+            "CompileConfig::default()"
+        );
     }
 
     #[test]

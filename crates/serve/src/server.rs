@@ -2167,6 +2167,35 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_range_capacity_is_refused_before_any_worker() {
+        let server = Server::new(one_worker());
+        for capacity in ["0", "17", "18446744073709551615"] {
+            let (reply, quit) = server.handle_line(&format!(
+                r#"{{"op":"compile","workload":"fig4","capacity":{capacity}}}"#
+            ));
+            assert!(!quit);
+            match Reply::from_line(&reply).unwrap() {
+                Reply::Error(e) => {
+                    assert_ne!(e.code.as_deref(), Some("internal"), "{capacity}");
+                    assert!(e.error.contains("capacity"), "{}", e.error);
+                }
+                other => panic!("capacity {capacity}: expected an error, got {other:?}"),
+            }
+        }
+        let (reply, _) = server.handle_line(r#"{"op":"compile","workload":"fig4","capacity":16}"#);
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Compile(_)
+        ));
+        let stats = server.stats();
+        assert_eq!((stats.compiles, stats.errors), (4, 3));
+        assert_eq!(
+            stats.latency.queue_wait.count, 1,
+            "only the valid compile queued"
+        );
+    }
+
+    #[test]
     fn registry_memo_confirms_the_name_behind_a_hash() {
         let server = Server::new(one_worker());
         let state = &server.state;

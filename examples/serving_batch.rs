@@ -24,9 +24,8 @@ fn main() {
         .collect();
 
     // The paper's flow for every kernel: Eq. 8 selection over span-1
-    // antichains, list scheduling. Per-item internal parallelism is
-    // disabled by compile_batch itself — the batch fan-out is the
-    // parallelism.
+    // antichains, list scheduling. Each compile runs on one worker: the
+    // batch fan-out is the only parallelism.
     let cfg = CompileConfig {
         select: SelectConfig {
             span_limit: Some(1),
