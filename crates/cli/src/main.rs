@@ -72,6 +72,7 @@ fn main() {
             );
             eprintln!("  mps artifact diff <a.json> <b.json>");
             eprintln!("  mps serve [--port P|--stdio] [--workers N] [--queue N] [--json]");
+            eprintln!("            # --workers: compiles at once; --queue: misses waiting for one");
             eprintln!("            [--cache-dir DIR]   # persistent artifacts, warm-start on boot");
             eprintln!("            [--peer ADDR]... [--advertise ADDR]   # fleet of daemons");
             eprintln!("            [--probe-interval-ms N] [--forward-timeout-ms N]");

@@ -19,7 +19,10 @@
 //!
 //! `serve` listens on `127.0.0.1:<port>` (thread per connection) or, with
 //! `--stdio`, answers requests from stdin on stdout — handy behind
-//! `socat` or an init system. `--json` streams boot/compile/shutdown
+//! `socat` or an init system. Each miss compiles on the thread that read
+//! it: `--workers N` is the number of compiles that run at once, and
+//! `--queue N` the number of misses that may wait for one; a miss past
+//! both is shed with an `overloaded` reply. Cache hits never wait. `--json` streams boot/compile/shutdown
 //! events as JSON lines on stdout (stderr in `--stdio` mode, where
 //! stdout carries replies). The cache budgets, line bound, connection
 //! cap and read deadline map straight onto [`ServeOptions`];
@@ -190,7 +193,7 @@ pub fn cmd_serve(args: &[String]) -> i32 {
                 return 1;
             }
         };
-        eprintln!("mps serve: listening on {addr} ({workers} workers)");
+        eprintln!("mps serve: listening on {addr} ({workers} compile permits)");
         if let Err(e) = server.run_tcp(listener) {
             eprintln!("serve: {e}");
             return 1;

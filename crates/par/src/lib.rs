@@ -1,23 +1,19 @@
 //! Minimal data-parallel substrate for the MPS workspace.
 //!
 //! Parallelism lives where it is measured to pay on a two-core box:
-//! across independent kernels (`mps::Session::compile_batch_in` and the
-//! `mps-serve` worker pool) and across the scheduling runs of an
-//! exhaustive pattern-subset search. Everything
-//! inside one ordinary compile runs on the calling thread. `rayon` is
-//! not part of the approved offline dependency set, so this crate
-//! provides the small slice of its functionality those callers need,
-//! built on [`crossbeam`]'s scoped threads:
+//! across independent kernels (`mps::Session::compile_batch_in`) and
+//! across the scheduling runs of an exhaustive pattern-subset search.
+//! Everything inside one ordinary compile runs on the calling thread, and
+//! the `mps-serve` daemon compiles each miss on the thread that read it.
+//! `rayon` is not part of the approved offline dependency set, so this
+//! crate provides the small slice of its functionality those callers
+//! need, built on [`crossbeam`]'s scoped threads:
 //!
 //! * [`par_map`] / [`par_map_in`] — order-preserving parallel map.
 //!   Workers claim contiguous index chunks from a shared atomic counter and
 //!   write results directly into their final slots of the output buffer:
 //!   no channel, no per-item message, no `Vec<Option<U>>` re-collect.
 //! * [`parallelism`] — thread-count heuristic honouring `MPS_THREADS`,
-//! * [`BoundedQueue`] — a blocking bounded MPMC queue, the admission
-//!   primitive of the `mps-serve` daemon (backpressure on producers, clean
-//!   drain-on-close for consumers; [`BoundedQueue::try_push`] for
-//!   shed-instead-of-block admission),
 //! * [`CancelToken`] — a cooperative stop flag with an optional deadline,
 //!   polled by the pattern-table build, so cancelled work stops instead
 //!   of running to completion.
@@ -41,9 +37,7 @@
 mod cancel;
 #[allow(unsafe_code)] // isolated disjoint-chunk writes; see module docs
 mod fill;
-mod queue;
 pub use cancel::{CancelKind, CancelToken};
-pub use queue::{BoundedQueue, PushError};
 
 /// Inputs shorter than this are always processed sequentially. Two is the
 /// smallest input that can be split at all; anything at or above it may be

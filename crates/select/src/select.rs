@@ -96,7 +96,10 @@ pub fn select_from_table(
     let mut selected_colors = mps_dfg::ColorSet::new(); // Ls
     let mut selected = PatternSet::new(); // Ps
     let mut selected_freq = vec![0u64; num_nodes]; // Σ_{Ps} h(p̄_i, ·)
-    let mut rounds = Vec::with_capacity(cfg.pdef);
+
+    // `pdef` comes off the wire, so it only caps the capacity hint:
+    // rounds past the candidate count are rare, and the vector grows.
+    let mut rounds = Vec::with_capacity(cfg.pdef.min(stats.len()));
 
     // Eq. 8 priorities are monotone non-increasing over a run: selection
     // only ever *grows* the balancing denominators (fabrication changes
@@ -306,7 +309,7 @@ pub fn select_from_table_reference(
                                                    // round loop below never touches a hash map.
     let mut alive: Vec<bool> = vec![true; table.len()];
     let stats: &[PatternStats] = table.stats();
-    let mut rounds = Vec::with_capacity(cfg.pdef);
+    let mut rounds = Vec::with_capacity(cfg.pdef.min(stats.len()));
 
     for _round in 0..cfg.pdef {
         let remaining_after_this = cfg.pdef - selected.len() - 1;
@@ -601,6 +604,19 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// A `pdef` far past the candidate count selects what `pdef` equal to
+    /// the candidate count does, without sizing anything by it.
+    #[test]
+    fn a_huge_pdef_selects_as_the_candidate_count_does() {
+        let adfg = AnalyzedDfg::new(fig2());
+        let table = PatternTable::build(&adfg, cfg(1).enumerate_config());
+        for select in [select_from_table, select_from_table_reference] {
+            let bounded = select(&adfg, &table, &cfg(table.len()));
+            let huge = select(&adfg, &table, &cfg(1_000_000_000));
+            assert_eq!(huge, bounded);
         }
     }
 }

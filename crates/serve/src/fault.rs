@@ -31,6 +31,7 @@
 //! stage.
 
 use mps::{MpsError, Stage, StageProbe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// A chaos recipe: which faults to inject, all off by default.
@@ -56,6 +57,10 @@ pub struct FaultPlan {
     /// Fail every Nth peer forward (1 = every forward; counted across
     /// all peers), simulating a flapping link.
     pub peer_flap_every: Option<u64>,
+    /// Panic in the first compile that reaches this stage (tests only;
+    /// no environment variable sets it).
+    #[cfg(test)]
+    pub panic_stage: Option<Stage>,
 }
 
 impl FaultPlan {
@@ -85,17 +90,28 @@ impl FaultPlan {
                 .filter(|v| !v.is_empty()),
             peer_slow_ms: ms("MPS_FAULT_PEER_SLOW_MS"),
             peer_flap_every: ms("MPS_FAULT_PEER_FLAP_EVERY").filter(|&n| n > 0),
+            #[cfg(test)]
+            panic_stage: None,
         }
     }
 
     /// The [`StageProbe`] realizing the in-pipeline faults, or `None`
-    /// when neither stage fault is armed.
+    /// when no stage fault is armed.
     pub fn stage_probe(&self) -> Option<StageProbe> {
         let (delay, fail) = (self.delay_stage, self.fail_stage);
-        if delay.is_none() && fail.is_none() {
+        #[cfg(test)]
+        let panic_once = self.panic_stage.map(|at| (at, AtomicBool::new(true)));
+        #[cfg(not(test))]
+        let panic_once: Option<(Stage, AtomicBool)> = None;
+        if delay.is_none() && fail.is_none() && panic_once.is_none() {
             return None;
         }
         Some(StageProbe::new(move |stage| {
+            if let Some((at, armed)) = &panic_once {
+                if *at == stage && armed.swap(false, Ordering::Relaxed) {
+                    panic!("injected fault: compile panicked at {stage}");
+                }
+            }
             if let Some((at, ms)) = delay {
                 if at == stage {
                     std::thread::sleep(Duration::from_millis(ms));

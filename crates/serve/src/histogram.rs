@@ -4,7 +4,7 @@
 //! a full reservoir is overkill for a stats line. [`LatencyHistogram`]
 //! buckets each sample by the position of its most significant bit in
 //! **microseconds**, so the whole structure is a fixed array of atomic
-//! counters — `record` is wait-free and safe from every worker thread —
+//! counters — `record` is wait-free and safe from every compiling thread —
 //! and quantiles are read as the upper bound of the bucket holding the
 //! rank, i.e. conservative within a factor of 2. That resolution is
 //! plenty to make "warm compiles are orders of magnitude cheaper than
@@ -103,7 +103,7 @@ pub struct Quantiles {
 }
 
 /// The serving process's histogram set: end-to-end request latency,
-/// admission-queue wait and persistence lag, plus the three interesting
+/// admission wait and persistence lag, plus the three interesting
 /// compile stages, each aggregated from [`mps::StageMetrics`] of actual
 /// (non-cached) compiles.
 #[derive(Debug, Default)]
@@ -116,8 +116,8 @@ pub struct StageHistograms {
     /// under warm-hit-heavy traffic the total histogram's p50 collapses
     /// to microseconds and would tell shed clients to retry immediately.
     pub accepted: LatencyHistogram,
-    /// Admission-queue wait: admitted → dequeued by a worker (misses
-    /// only; hits never queue).
+    /// Admission wait: the wait for a compile permit (misses only; hits
+    /// never wait).
     pub queue_wait: LatencyHistogram,
     /// Write-behind lag: save handed to the persister → file renamed
     /// into place.

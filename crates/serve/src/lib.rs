@@ -4,9 +4,9 @@
 //! answers "keep compiling graphs, fast, for as long as the process
 //! lives". A [`Server`] accepts newline-delimited JSON requests over a
 //! TCP socket (thread per connection) or stdin/stdout, answers cache
-//! hits on the connection thread, admits misses through a bounded queue
-//! to a pool of worker threads, and layers two instances of one cache
-//! type, [`mps::SingleFlightCache`]:
+//! hits and compiles misses on the thread that read them (at most
+//! `workers` compiles at once, each holding a permit), and layers two
+//! instances of one cache type, [`mps::SingleFlightCache`]:
 //!
 //! * an **artifact cache**: whole [`mps::CompileResult`]s keyed by
 //!   `(graph content hash, config content hash)` — a repeated request is
@@ -20,7 +20,8 @@
 //! eviction, abandonment (a panicked or cancelled compute wakes its
 //! waiters instead of wedging them), and no caching of transient
 //! (deadline/cancel) outcomes. Requests may carry a
-//! `deadline_ms`; a full admission queue **sheds** with a structured
+//! `deadline_ms`; a miss that finds every permit held and the line of
+//! waiters full **sheds** with a structured
 //! `overloaded` reply and retry hint rather than blocking, and a
 //! [`FaultPlan`] can inject stage delays/failures, dropped replies and
 //! slow reads for chaos testing. Per-stage latency histograms

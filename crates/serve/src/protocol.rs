@@ -58,9 +58,10 @@ pub struct Request {
     /// ignored (a fabric compile replays every tile).
     pub fabric: Option<String>,
     /// Compile deadline in milliseconds from receipt (`compile` only).
-    /// The server refuses the request at admission if it would expire
-    /// in the queue, and cancels the pipeline at the first stage
-    /// boundary past the deadline.
+    /// The server refuses the request at admission once it has expired,
+    /// answers it at the deadline if it is still waiting for a compile
+    /// permit, and cancels the pipeline at the first stage boundary past
+    /// the deadline.
     pub deadline_ms: Option<u64>,
     /// `true` when this compile was forwarded by a fleet peer. A
     /// forwarded request is always computed by its receiver — never
@@ -206,10 +207,10 @@ impl Request {
     /// of truth for request → config, shared with the equivalence tests.
     ///
     /// `select.parallel` is `false`: the server already runs one compile
-    /// per worker, so an exhaustive search schedules its subsets on that
-    /// worker instead of spawning threads of its own. A `capacity` outside
-    /// `1..=16` (the enumerator's range) is an error here, before the
-    /// request reaches a worker.
+    /// per request thread, so an exhaustive search schedules its subsets
+    /// on that thread instead of spawning threads of its own. A
+    /// `capacity` outside `1..=16` (the enumerator's range) is an error
+    /// here, before the request takes a compile permit.
     pub fn compile_config(&self) -> Result<CompileConfig, String> {
         let engine = match &self.engine {
             None => SelectEngine::default(),
@@ -274,9 +275,9 @@ pub struct CompileReply {
     /// `true` when the result came from the artifact cache.
     pub cached: bool,
     /// Server-side compile latency of this request, seconds: from the
-    /// resolved request (a worker's dequeue, or an inline hit's cache
-    /// lookup) to its rendered reply. Graph resolution and admission-queue
-    /// wait are not included.
+    /// resolved request (a miss's compile permit, or an inline hit's cache
+    /// lookup) to its rendered reply. Graph resolution and the wait for a
+    /// permit are not included.
     pub latency_sec: f64,
     /// Selected patterns, one rendered pattern per entry.
     pub patterns: Vec<String>,
@@ -466,11 +467,11 @@ pub struct StatsReply {
     pub artifact_evictions: u64,
     /// Pattern-table cache entries evicted by the budget since boot.
     pub table_evictions: u64,
-    /// Compile requests sitting in the admission queue right now.
+    /// Misses waiting for a compile permit right now.
     pub queue_depth: u64,
-    /// Worker threads compiling.
+    /// Compile permits: the most compiles that run at once.
     pub workers: u64,
-    /// Admission-queue capacity.
+    /// Most misses that may wait for a permit.
     pub queue_capacity: u64,
     /// Pattern tables persisted to the `--cache-dir` store since boot.
     pub tables_persisted: u64,
@@ -541,15 +542,15 @@ pub struct MetricsTotals {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Compile latency of every compile request, cache hits included,
-    /// measured as each reply's `latency_sec` is (resolution and queue
-    /// wait left out).
+    /// measured as each reply's `latency_sec` is (resolution and the wait
+    /// for a permit left out).
     pub total: Quantiles,
     /// End-to-end latency of accepted (non-cached) compiles only — the
     /// population the shed `retry_after_ms` hint is derived from.
     pub accepted: Quantiles,
-    /// Admission-queue wait of compile requests: admitted → dequeued by
-    /// a worker. Only misses are admitted; cache hits are answered on the
-    /// connection thread and never counted here.
+    /// Admission wait of compile requests: the wait for a compile
+    /// permit, zero when one is free. Only misses are admitted; cache
+    /// hits are answered at once and never counted here.
     #[serde(default)]
     pub queue_wait: Quantiles,
     /// Write-behind persistence lag per saved artifact or table: handed
@@ -575,7 +576,7 @@ pub struct PongReply {
     pub id: Option<u64>,
     /// Seconds since the server booted.
     pub uptime_sec: f64,
-    /// Compile requests sitting in the admission queue right now.
+    /// Misses waiting for a compile permit right now.
     pub queue_depth: u64,
 }
 
@@ -720,8 +721,9 @@ impl ErrorReply {
         }
     }
 
-    /// A load shed: the admission queue is full. Carries the retry
-    /// hint; the client backoff honors it.
+    /// A load shed: every compile permit is held and the line of misses
+    /// waiting for one is full. Carries the retry hint; the client
+    /// backoff honors it.
     pub fn overloaded(op: &str, id: Option<u64>, retry_after_ms: u64) -> ErrorReply {
         ErrorReply {
             ok: false,
@@ -734,8 +736,8 @@ impl ErrorReply {
         }
     }
 
-    /// A deadline failure outside the pipeline (expired in the queue,
-    /// or while waiting on an identical in-flight compile).
+    /// A deadline failure outside the pipeline (expired while waiting for
+    /// a compile permit, or on an identical in-flight compile).
     pub fn deadline(op: &str, id: Option<u64>, error: String) -> ErrorReply {
         ErrorReply {
             ok: false,

@@ -1,6 +1,5 @@
-//! The compile server: bounded admission, a per-job worker pool,
-//! write-behind persistence, two cache tiers, and the TCP / stdio
-//! front-ends.
+//! The compile server: admission by compile permits, write-behind
+//! persistence, two cache tiers, and the TCP / stdio front-ends.
 //!
 //! One [`Server`] owns all serving state behind an `Arc`:
 //!
@@ -9,22 +8,26 @@
 //!   artifact cache of whole compiles, underneath it the process-wide
 //!   [`mps::TableCache`] of pattern tables shared across *different*
 //!   configs of one graph, and a fixed-size memo of registry graphs,
-//! * **cache hits answered on the connection thread** that read them,
-//!   never queued, so a hit cannot wait or be shed behind a cold compile,
-//! * a [`BoundedQueue`] admitting the misses — a full queue **sheds**
-//!   (structured `overloaded` reply with a retry hint) instead of
-//!   blocking, so overload degrades into fast refusals, not pile-ups,
-//! * `workers` long-lived worker threads, each popping one job at a time
-//!   and replying to it on its own (worker panics are contained per
-//!   request and answered as `internal` errors),
+//! * **every compile runs on the thread that read its request** (a TCP
+//!   connection thread, the stdio loop, or the caller of
+//!   [`Server::handle_line`]); a cache hit is answered there at once,
+//!   never admitted, so a hit cannot wait or be shed behind a cold
+//!   compile,
+//! * a `Gate` admitting the misses: at most `workers` compiles hold a
+//!   permit at once, at most `queue` more wait in line for one (granted
+//!   in arrival order), and a miss past that **sheds** (structured
+//!   `overloaded` reply with a retry hint) instead of blocking, so
+//!   overload degrades into fast refusals, not pile-ups; a compile that
+//!   panics is contained and answered as an `internal` error, and its
+//!   permit is returned by a drop guard,
 //! * with a `cache_dir`, one persister thread that writes the `cr-`
 //!   results and `pt-` tables to disk *after* the reply, fed through a
 //!   small bounded channel whose sends block when it is full (a save is
 //!   never dropped), and that keeps the directory inside its budget from
 //!   the store's in-memory index ([`ArtifactStore::enforce_budget_indexed`]),
 //! * [`StageHistograms`] + [`mps::SharedStageMetrics`] feeding the
-//!   `stats` reply, including the admission-queue wait and the
-//!   persistence lag.
+//!   `stats` reply, including the wait for a permit and the persistence
+//!   lag.
 //!
 //! `stats` is a persistence barrier: it waits until every save handed
 //! off before it was received is on disk, so `artifacts_persisted` and
@@ -32,27 +35,27 @@
 //! read. `ping` never waits.
 //!
 //! Requests may carry a `deadline_ms`; the server refuses them at
-//! admission once expired, fails them fast if they expired in the
-//! queue, bounds waits on identical in-flight compiles,
+//! admission once expired, answers a miss whose deadline passes while
+//! it waits for a permit at that deadline, bounds waits on identical
+//! in-flight compiles,
 //! and cancels the pipeline itself at stage boundaries via
 //! [`mps::CancelToken`]. Connection hygiene is enforced per connection:
 //! request lines over `max_line_bytes` are refused, a client stalled
-//! mid-line is disconnected after `read_timeout_ms`, and at most
-//! `max_conns` connections are served at once (excess connections get
-//! one `overloaded` line and are closed). A [`FaultPlan`] can inject
+//! mid-line or mid-reply is disconnected after `read_timeout_ms`, and at
+//! most `max_conns` connections are served at once (excess connections
+//! get one `overloaded` line and are closed). A [`FaultPlan`] can inject
 //! stage delays/failures, reply drops and slow reads for chaos tests.
 //!
-//! Control verbs (`stats`, `ping`, `peers`, `shutdown`) and cache hits
-//! are answered inline by the connection thread — they must stay
-//! responsive while the queue is saturated. `shutdown` closes the queue,
-//! which gives clean draining for free: the workers finish everything already
-//! admitted, then exit; new compiles are refused with an error reply.
-//! Joining the server then stops the persister after it has written
-//! every save handed to it, so a restart warm-loads everything that was
-//! answered. The accept loop blocks in `accept`, so `shutdown` also
-//! wakes it by connecting to the listener's own address; idle
-//! connection threads notice the flag on their next read-timeout tick
-//! and wind down.
+//! Control verbs (`stats`, `ping`, `peers`, `shutdown`) never take a
+//! permit, so they stay responsive while every permit is held.
+//! `shutdown` closes the gate: misses already in line still compile,
+//! new compiles are refused with an error reply. Joining the server
+//! waits until every permit is back, then stops the persister after it
+//! has written every save handed to it, so a restart warm-loads
+//! everything that was answered. The accept loop blocks in `accept`, so
+//! `shutdown` also wakes it by connecting to the listener's own address;
+//! idle connection threads notice the flag on their next read-timeout
+//! tick and wind down.
 //!
 //! With `peers` configured the server is one member of a **fleet**: a
 //! [`PeerRing`] routes each compile to its rendezvous owner (see
@@ -79,33 +82,34 @@ use crate::protocol::{
 };
 use crate::ring::{Owner, PeerRing};
 use mps::artifact::ArtifactStore;
-use mps::par::{BoundedQueue, PushError};
 use mps::patterns::PatternTable;
 use mps::{
     CacheBudget, CancelToken, CompileConfig, CompileResult, Session, SharedStageMetrics,
     SingleFlightCache, StageProbe, TableCache, TableKey,
 };
 use serde::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{DefaultHasher, Hasher};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::ops::ControlFlow;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{
+    mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard,
+};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Serving knobs. The defaults fit the CI smoke test and the integration
 /// suite; a deployment mostly tunes `workers` and the cache budgets.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Long-lived compile worker threads, each serving one admitted job
-    /// at a time, so at most this many compiles run at once (default:
-    /// the [`mps::par::parallelism`] policy, i.e. `MPS_THREADS` or the
-    /// machine).
+    /// Most compiles that run at once, each on the thread that read its
+    /// request (default: the [`mps::par::parallelism`] policy, i.e.
+    /// `MPS_THREADS` or the machine).
     pub workers: usize,
-    /// Admission-queue capacity; pushes beyond it shed (default 64).
+    /// Most misses that wait for a compile permit; a miss beyond them
+    /// sheds (default 64).
     pub queue: usize,
     /// Artifact-cache entry budget (default unbounded).
     pub max_artifacts: Option<usize>,
@@ -124,8 +128,8 @@ pub struct ServeOptions {
     /// Most simultaneous TCP connections served (default 256); excess
     /// connections get one `overloaded` line and are closed.
     pub max_conns: usize,
-    /// How long a connection may stall mid-line before it is dropped,
-    /// in milliseconds (default 10 000).
+    /// How long a connection may stall mid-line, or leave a reply
+    /// unread, before it is dropped, in milliseconds (default 10 000).
     pub read_timeout_ms: u64,
     /// Directory for persistent artifacts (default: none). When set,
     /// successful compiles and fresh pattern tables are persisted
@@ -197,7 +201,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// Capacity of the channel from the workers and the table hook to the
+/// Capacity of the channel from the compiles and the table hook to the
 /// persister. A full channel blocks the sender, so no save is dropped and
 /// the disk lags the replies by at most this many saves. The table hook
 /// sends from inside a compile, so the slots must absorb bursts of misses
@@ -437,8 +441,8 @@ fn decimal_digits(n: usize) -> usize {
 }
 
 /// A compile request resolved to its graph, config and artifact key, once,
-/// on the connection thread; a miss carries it to its worker in its
-/// [`Job`], so the graph is not resolved and hashed twice.
+/// on the thread that read it; a miss compiles from it, so the graph is
+/// not resolved and hashed twice.
 struct Resolved {
     workload: String,
     dfg: Arc<mps::dfg::Dfg>,
@@ -523,15 +527,141 @@ enum Forwarded {
     Down(String),
 }
 
-/// One admitted compile: the request, its resolution, when it was
-/// admitted, its deadline (absolute, fixed at admission) and the channel
-/// its reply line goes back on.
-struct Job {
-    req: Request,
-    resolved: Resolved,
-    admitted: Instant,
-    deadline: Option<Instant>,
-    reply: mpsc::Sender<String>,
+/// Admission for misses: `permits` compile permits and a line of at most
+/// `capacity` misses waiting for one. Each waiter takes a ticket under
+/// the mutex, and only the oldest ticket may take a free permit, so
+/// permits go out in arrival order.
+struct Gate {
+    permits: usize,
+    capacity: usize,
+    line: Mutex<Line>,
+    /// Notified when a permit comes back while misses wait or the gate
+    /// drains, and when a waiter leaves the line.
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Line {
+    /// Permits held.
+    running: usize,
+    /// Tickets of the misses waiting for a permit, oldest first.
+    waiting: VecDeque<u64>,
+    next_ticket: u64,
+    /// Set at shutdown: no new miss enters.
+    closed: bool,
+}
+
+/// Why a miss got no permit.
+enum Refusal {
+    /// Every permit is held and the line is full.
+    Full,
+    /// The server is shutting down.
+    Closed,
+    /// The deadline passed in line.
+    Expired,
+}
+
+impl Gate {
+    fn new(permits: usize, capacity: usize) -> Gate {
+        Gate {
+            permits: permits.max(1),
+            capacity: capacity.max(1),
+            line: Mutex::new(Line::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Line> {
+        self.line.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Take a permit, waiting in line for one until `deadline`, if any.
+    fn enter(&self, deadline: Option<Instant>) -> Result<Permit<'_>, Refusal> {
+        let mut line = self.lock();
+        if line.closed {
+            return Err(Refusal::Closed);
+        }
+        if line.waiting.len() >= self.capacity {
+            return Err(Refusal::Full);
+        }
+        let ticket = line.next_ticket;
+        line.next_ticket += 1;
+        line.waiting.push_back(ticket);
+        loop {
+            if line.running < self.permits && line.waiting.front() == Some(&ticket) {
+                line.waiting.pop_front();
+                line.running += 1;
+                if line.running < self.permits && !line.waiting.is_empty() {
+                    self.changed.notify_all(); // the next ticket may take one too
+                }
+                return Ok(Permit(self));
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            line = match left {
+                None => self
+                    .changed
+                    .wait(line)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) if !left.is_zero() => {
+                    let waited = self.changed.wait_timeout(line, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+                Some(_) => {
+                    line.waiting.retain(|&t| t != ticket);
+                    self.changed.notify_all(); // the next ticket may be the oldest now
+                    return Err(Refusal::Expired);
+                }
+            };
+        }
+    }
+
+    /// Wait until every permit is back and nobody waits.
+    fn drain(&self) {
+        let mut line = self.lock();
+        while line.running > 0 || !line.waiting.is_empty() {
+            line = self
+                .changed
+                .wait(line)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A held compile permit, returned on drop, so a compile that panics
+/// returns it as it unwinds.
+struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut line = self.0.lock();
+        line.running -= 1;
+        if !line.waiting.is_empty() || (line.closed && line.running == 0) {
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+/// A save a fresh compile result owes the disk tier, holding the `stats`
+/// barrier (a shared [`State::handoff`] guard) from before its reply is
+/// written until it is handed off.
+type Owed<'a> = (Save, RwLockReadGuard<'a, ()>);
+
+/// A reply line, whether its request shut the server down, and the save
+/// the reply owes.
+struct Answer<'a> {
+    line: String,
+    quit: bool,
+    owed: Option<Owed<'a>>,
+}
+
+impl From<String> for Answer<'_> {
+    fn from(line: String) -> Self {
+        Answer {
+            line,
+            quit: false,
+            owed: None,
+        }
+    }
 }
 
 /// A write owed to the disk tier.
@@ -549,12 +679,12 @@ enum Persist {
     /// Acknowledge once every earlier message is done (the `stats`
     /// barrier).
     Flush(mpsc::SyncSender<()>),
-    /// Exit: the workers are joined, nothing more is owed.
+    /// Exit: every permit is back, nothing more is owed.
     Stop,
 }
 
-/// All serving state, shared between the front-ends, the workers, the
-/// persister and the prober.
+/// All serving state, shared between the front-ends, the persister and
+/// the prober.
 struct State {
     opts: ServeOptions,
     started: Instant,
@@ -572,14 +702,15 @@ struct State {
     probe: Option<StageProbe>,
     metrics: SharedStageMetrics,
     hist: StageHistograms,
-    queue: BoundedQueue<Job>,
+    gate: Gate,
     /// The persistent artifact tier, present when `cache_dir` is set.
     store: Option<ArtifactStore>,
     /// Hand-offs to the persister thread, present with `store`.
     persist: Option<mpsc::SyncSender<Persist>>,
-    /// Held shared by a worker from sending a reply until its save is
-    /// handed off, and taken exclusively by `stats` before it flushes,
-    /// so the barrier also covers saves whose reply is already out.
+    /// Held shared by an [`Owed`] save from before its reply is written
+    /// until the save is handed off, and taken exclusively by `stats`
+    /// before it flushes, so the barrier also covers saves whose reply is
+    /// already out.
     handoff: RwLock<()>,
     /// The fleet, present when `peers` is non-empty.
     fleet: Option<Fleet>,
@@ -622,63 +753,61 @@ impl State {
         let _ = w.flush();
     }
 
-    /// Handle one request line end to end. Returns the reply line and
-    /// whether this request asked the server to shut down.
-    fn handle_line(self: &Arc<State>, line: &str) -> (String, bool) {
+    /// Handle one request line end to end, compiling a miss on this
+    /// thread. Returns the [`Answer`] for the caller to deliver.
+    fn handle_line(&self, line: &str) -> Answer<'_> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let req = match Request::from_line(line) {
             Ok(req) => req,
             Err(error) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                return (encode(&ErrorReply::protocol("?", None, error)), false);
+                return encode(&ErrorReply::protocol("?", None, error)).into();
             }
         };
         match req.op.as_str() {
-            "ping" => (
-                encode(&PongReply {
-                    ok: true,
-                    op: "ping".to_string(),
-                    id: req.id,
-                    uptime_sec: self.started.elapsed().as_secs_f64(),
-                    queue_depth: self.queue.len() as u64,
-                }),
-                false,
-            ),
-            "stats" => (encode(&self.stats_reply(req.id)), false),
+            "ping" => encode(&PongReply {
+                ok: true,
+                op: "ping".to_string(),
+                id: req.id,
+                uptime_sec: self.started.elapsed().as_secs_f64(),
+                queue_depth: self.gate.lock().waiting.len() as u64,
+            })
+            .into(),
+            "stats" => encode(&self.stats_reply(req.id)).into(),
             "shutdown" => {
                 self.begin_shutdown();
                 self.log_event("shutdown", Vec::new);
-                (
-                    encode(&ShutdownReply {
+                Answer {
+                    quit: true,
+                    ..Answer::from(encode(&ShutdownReply {
                         ok: true,
                         op: "shutdown".to_string(),
                         id: req.id,
-                    }),
-                    true,
-                )
+                    }))
+                }
             }
-            "compile" => (self.fleet_compile(req), false),
-            "peers" => (self.peers_reply(&req), false),
-            "artifact_put" => (self.artifact_put(&req), false),
-            "artifact_get" => (self.artifact_get(&req), false),
+            "compile" => self.fleet_compile(req),
+            "peers" => self.peers_reply(&req).into(),
+            "artifact_put" => self.artifact_put(&req).into(),
+            "artifact_get" => self.artifact_get(&req).into(),
             other => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 let error = format!(
                     "unknown op \"{other}\" (expected compile, stats, ping, peers, \
                      artifact_put, artifact_get or shutdown)"
                 );
-                (encode(&ErrorReply::protocol(other, req.id, error)), false)
+                encode(&ErrorReply::protocol(other, req.id, error)).into()
             }
         }
     }
 
-    /// Raise the shutdown flag, close the queue (the workers drain what
-    /// was admitted), and wake every thread that sleeps until shutdown:
+    /// Raise the shutdown flag, close the gate (misses already in line
+    /// still compile), and wake every thread that sleeps until shutdown:
     /// the prober, and a `run_tcp` blocked in `accept` — by connecting to
     /// the listener's own address, a no-op when no TCP front-end runs.
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        self.queue.close();
+        self.gate.lock().closed = true;
         // Pass through the lock before notifying, so a prober between
         // its flag check and its wait cannot miss the wake-up.
         let (lock, cvar) = &self.prober_sleep;
@@ -700,62 +829,81 @@ impl State {
     fn retry_after_hint(&self) -> u64 {
         let p50 = self.hist.accepted.snapshot().p50_sec;
         let per_compile = if p50 > 0.0 { p50 } else { 0.05 };
-        let backlog = self.queue.len().max(1) as f64;
+        let backlog = self.gate.lock().waiting.len().max(1) as f64;
         let workers = self.opts.workers.max(1) as f64;
         ((backlog / workers) * per_compile * 1000.0)
             .ceil()
             .max(10.0) as u64
     }
 
-    /// Admit a resolved miss through the bounded queue and wait for its
-    /// reply. A full queue sheds with an `overloaded` reply.
-    fn admit_compile(self: &Arc<State>, req: Request, resolved: Resolved) -> String {
+    /// Admit a resolved miss through the gate and compile it on this
+    /// thread under its permit. Every permit held and the line full ⇒ an
+    /// `overloaded` shed; a deadline that passes in line ⇒ a `deadline`
+    /// reply at that deadline. A panicking compile is answered as an
+    /// `internal` error. A fresh result's save is owed, and takes the
+    /// `stats` barrier before the permit goes back, so joining the server
+    /// after [`Gate::drain`] also waits for its hand-off.
+    fn admit_compile(&self, req: &Request, resolved: &Resolved) -> Answer<'_> {
         self.compiles.fetch_add(1, Ordering::Relaxed);
-        let id = req.id;
+        let admitted = Instant::now();
         let deadline = req
             .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let (tx, rx) = mpsc::channel();
-        match self.queue.try_push(Job {
-            req,
-            resolved,
-            admitted: Instant::now(),
-            deadline,
-            reply: tx,
-        }) {
-            Ok(()) => {}
-            Err(PushError::Full(_)) => {
-                self.sheds.fetch_add(1, Ordering::Relaxed);
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                let hint = self.retry_after_hint();
-                self.log_event("shed", || vec![("retry_after_ms", Value::U64(hint))]);
-                return encode(&ErrorReply::overloaded("compile", id, hint));
-            }
-            Err(PushError::Closed(_)) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                return encode(&ErrorReply::shutting_down("compile", id));
-            }
+            .map(|ms| admitted + Duration::from_millis(ms));
+        let entered = self.gate.enter(deadline);
+        // A miss that got a permit or gave up waiting for one is timed; a
+        // refused one never waited.
+        if matches!(entered, Ok(_) | Err(Refusal::Expired)) {
+            self.hist
+                .queue_wait
+                .record(admitted.elapsed().as_secs_f64());
         }
-        match rx.recv() {
-            Ok(line) => line,
-            Err(_) => {
-                // A worker dropped the job without replying — only
-                // possible if it died outright.
+        let permit = match entered {
+            Ok(permit) => permit,
+            Err(refusal) => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
-                encode(&ErrorReply::internal(
-                    "compile",
-                    id,
-                    "compile worker died".to_string(),
-                ))
+                let reply = match refusal {
+                    Refusal::Full => {
+                        self.sheds.fetch_add(1, Ordering::Relaxed);
+                        let hint = self.retry_after_hint();
+                        self.log_event("shed", || vec![("retry_after_ms", Value::U64(hint))]);
+                        ErrorReply::overloaded("compile", req.id, hint)
+                    }
+                    Refusal::Closed => ErrorReply::shutting_down("compile", req.id),
+                    Refusal::Expired => {
+                        self.deadline_hits.fetch_add(1, Ordering::Relaxed);
+                        let error = "deadline expired in the admission queue".to_string();
+                        ErrorReply::deadline("compile", req.id, error)
+                    }
+                };
+                return encode(&reply).into();
             }
+        };
+        let run = std::panic::AssertUnwindSafe(|| self.compile_line(req, resolved, deadline));
+        let (line, save) = std::panic::catch_unwind(run).unwrap_or_else(|_| {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+            let error = "compile panicked".to_string();
+            (
+                encode(&ErrorReply::internal("compile", req.id, error)),
+                None,
+            )
+        });
+        let owed = save.map(|save| {
+            let barrier = self.handoff.read();
+            (save, barrier.unwrap_or_else(PoisonError::into_inner))
+        });
+        drop(permit);
+        Answer {
+            line,
+            quit: false,
+            owed,
         }
     }
 
-    /// The single compile entry, on the connection thread. In order:
-    /// refuse an expired deadline or a draining server; resolve once
-    /// (errors answer here); answer a published key inline, owner or not.
-    /// Only a miss is routed: forwarded to its owner, or admitted locally
-    /// (no fleet, local ownership, a forwarded hop, or failover).
+    /// The single compile entry, on the thread that read the request. In
+    /// order: refuse an expired deadline or a draining server; resolve
+    /// once (errors answer here); answer a published key inline, owner or
+    /// not. Only a miss is routed: forwarded to its owner, or admitted
+    /// locally (no fleet, local ownership, a forwarded hop, or failover).
     ///
     /// Failover policy, in order: an **ejected** owner is not dialed at
     /// all; a **down** owner (dial/read failure, forward deadline,
@@ -765,37 +913,42 @@ impl State {
     /// fails over (it is alive — its health is *not* dinged). Every
     /// failover computes locally, answers the client, and owes the owner
     /// a copy of the artifact ([`State::handoff`]).
-    fn fleet_compile(self: &Arc<State>, req: Request) -> String {
+    fn fleet_compile(&self, req: Request) -> Answer<'_> {
         let t0 = Instant::now();
         let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
         if deadline.is_some_and(|d| Instant::now() >= d) {
             self.deadline_hits.fetch_add(1, Ordering::Relaxed);
             let error = "deadline expired before admission".to_string();
-            return self.refuse(ErrorReply::deadline("compile", req.id, error));
+            return self
+                .refuse(ErrorReply::deadline("compile", req.id, error))
+                .into();
         }
         if self.shutdown.load(Ordering::SeqCst) {
-            return self.refuse(ErrorReply::shutting_down("compile", req.id));
+            return self
+                .refuse(ErrorReply::shutting_down("compile", req.id))
+                .into();
         }
-        // This runs on the connection thread, so a panic is contained
-        // here, as a worker contains one, not left to end the connection
-        // (or, under `run_stdio`, the process).
+        // A panic is contained here, as a compile's is, not left to end
+        // the connection (or, under `run_stdio`, the process).
         let run = std::panic::AssertUnwindSafe(|| self.resolve_or_answer(&req, t0));
         let resolved = match std::panic::catch_unwind(run) {
             Ok(ControlFlow::Continue(resolved)) => resolved,
-            Ok(ControlFlow::Break(reply)) => return reply,
+            Ok(ControlFlow::Break(reply)) => return reply.into(),
             Err(_) => {
                 let error = "compile panicked before admission".to_string();
-                return self.refuse(ErrorReply::internal("compile", req.id, error));
+                return self
+                    .refuse(ErrorReply::internal("compile", req.id, error))
+                    .into();
             }
         };
         let key = resolved.key;
         let fleet = match &self.fleet {
             Some(fleet) if !req.forwarded => fleet,
             // One hop max: a forwarded compile is computed here, always.
-            _ => return self.admit_compile(req, resolved),
+            _ => return self.admit_compile(&req, &resolved),
         };
         let Owner::Peer(owner) = fleet.ring.owner_of(key) else {
-            return self.admit_compile(req, resolved);
+            return self.admit_compile(&req, &resolved);
         };
         if fleet.table.is_forwardable(&owner) {
             let mut fwd = req.clone();
@@ -817,7 +970,7 @@ impl State {
                 Forwarded::Line(reply) => {
                     fleet.table.record_success(&owner);
                     self.peer_forwards.fetch_add(1, Ordering::Relaxed);
-                    return reply;
+                    return reply.into();
                 }
                 Forwarded::Shed(_) => {
                     // Still shedding after the courtesy wait; the peer is
@@ -836,12 +989,17 @@ impl State {
             }
         }
         self.peer_failovers.fetch_add(1, Ordering::Relaxed);
-        let reply = self.admit_compile(req, resolved);
+        let Answer { line, owed, .. } = self.admit_compile(&req, &resolved);
+        // The peer handoff below waits on the network, so the save is
+        // handed off first, without holding the `stats` barrier across it.
+        if let Some((save, _barrier)) = owed {
+            self.hand_off(save);
+        }
         self.handoff(key, &owner);
-        reply
+        line.into()
     }
 
-    /// Resolve a compile and answer it here when it needs no worker: a
+    /// Resolve a compile and answer it here when it needs no permit: a
     /// malformed request gets its error reply, a published key its cached
     /// reply. `Continue` carries a miss on to be routed.
     fn resolve_or_answer(&self, req: &Request, t0: Instant) -> ControlFlow<String, Resolved> {
@@ -855,7 +1013,7 @@ impl State {
         let Some(outcome) = self.artifacts.get(resolved.key) else {
             return ControlFlow::Continue(resolved);
         };
-        // Timed from here, as a worker times a miss from its dequeue.
+        // Timed from here, as a miss is timed from its permit.
         let (reply, _) = self.compile_reply(req, &resolved, Instant::now(), outcome, true);
         self.compiles.fetch_add(1, Ordering::Relaxed);
         ControlFlow::Break(reply)
@@ -1166,53 +1324,17 @@ impl State {
         })
     }
 
-    /// Serve one dequeued job on a worker thread: reply first, then hand
-    /// a fresh result to the persister, so the client never waits for
-    /// the disk.
-    fn run_job(&self, job: Job) {
-        self.hist
-            .queue_wait
-            .record(job.admitted.elapsed().as_secs_f64());
-        let (line, save) = self.reply_for_job(&job);
-        let _handing_off = self.handoff.read().unwrap_or_else(PoisonError::into_inner);
-        // A receiver gone (client hung up) is not an error.
-        let _ = job.reply.send(line);
-        if let Some(save) = save {
-            self.hand_off(save);
-        }
-    }
-
-    /// Produce the reply for one dequeued job, plus the save it owes:
-    /// fast-fail jobs that expired in the queue, contain worker panics
-    /// so the client always gets an answer.
-    fn reply_for_job(&self, job: &Job) -> (String, Option<Save>) {
-        if job.deadline.is_some_and(|d| Instant::now() >= d) {
-            self.deadline_hits.fetch_add(1, Ordering::Relaxed);
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            let error = "deadline expired in the admission queue".to_string();
-            return (
-                encode(&ErrorReply::deadline("compile", job.req.id, error)),
-                None,
-            );
-        }
-        let run = std::panic::AssertUnwindSafe(|| self.compile_line(job));
-        std::panic::catch_unwind(run).unwrap_or_else(|_| {
-            self.errors.fetch_add(1, Ordering::Relaxed);
-            let error = "compile worker panicked".to_string();
-            (
-                encode(&ErrorReply::internal("compile", job.req.id, error)),
-                None,
-            )
-        })
-    }
-
-    /// Run one dequeued compile on a worker thread and render its reply,
+    /// Run one admitted compile under its permit and render its reply,
     /// plus the save a fresh result owes the disk tier.
-    fn compile_line(&self, job: &Job) -> (String, Option<Save>) {
-        let (req, resolved) = (&job.req, &job.resolved);
+    fn compile_line(
+        &self,
+        req: &Request,
+        resolved: &Resolved,
+        deadline: Option<Instant>,
+    ) -> (String, Option<Save>) {
         let t0 = Instant::now();
         let key = resolved.key;
-        let cancel = job.deadline.map(CancelToken::deadline_at);
+        let cancel = deadline.map(CancelToken::deadline_at);
         let fetched = self.artifacts.get_or_compute(key, cancel.as_ref(), || {
             // Only a miss needs the graph by value; a hit clones nothing.
             let mut session = Session::with_shared_tables(
@@ -1248,8 +1370,8 @@ impl State {
     }
 
     /// Render a compile's reply from its outcome and record its latency
-    /// since `t0` (a worker's dequeue, or an inline hit's lookup; resolve
-    /// and queue wait are not part of it), plus the save a fresh result
+    /// since `t0` (a miss's permit, or an inline hit's lookup; resolve
+    /// and the wait for a permit are not part of it), plus the save a fresh result
     /// owes the disk. A success is this request's head spliced onto the
     /// artifact's reply tail, which only the first reply renders.
     fn compile_reply(
@@ -1412,9 +1534,9 @@ impl State {
             deadline_exceeded: self.deadline_hits.load(Ordering::Relaxed),
             artifact_evictions: self.artifacts.evictions(),
             table_evictions: self.tables.evictions(),
-            queue_depth: self.queue.len() as u64,
+            queue_depth: self.gate.lock().waiting.len() as u64,
             workers: self.opts.workers as u64,
-            queue_capacity: self.queue.capacity() as u64,
+            queue_capacity: self.gate.capacity as u64,
             totals: MetricsTotals {
                 analyze_sec: m.analyze_sec,
                 enumerate_sec: m.enumerate_sec,
@@ -1470,6 +1592,16 @@ impl State {
         }
     }
 
+    /// Write `answer`'s line with `write`, then hand its save to the
+    /// persister, so the client never waits for the hand-off.
+    fn deliver<T>(&self, answer: Answer<'_>, write: impl FnOnce(String) -> T) -> T {
+        let written = write(answer.line);
+        if let Some((save, _barrier)) = answer.owed {
+            self.hand_off(save);
+        }
+        written
+    }
+
     /// Hand one save to the persister, if a disk tier is configured.
     /// Blocks while the channel is full; never drops the save.
     fn hand_off(&self, save: Save) {
@@ -1479,8 +1611,8 @@ impl State {
         }
     }
 
-    /// The `stats` barrier: wait for every worker between its reply and
-    /// its hand-off, then until the persister has finished everything
+    /// The `stats` barrier: wait for every owed save between its reply
+    /// and its hand-off, then until the persister has finished everything
     /// handed to it so far.
     fn flush_persister(&self) {
         let Some(persist) = &self.persist else { return };
@@ -1548,23 +1680,24 @@ fn peer_infos(table: &PeerTable) -> Vec<PeerInfo> {
         .collect()
 }
 
-/// A running compile server (worker threads live, front-ends ready).
+/// A running compile server (caches loaded, front-ends ready).
 ///
 /// Drive it with [`Server::run_tcp`] / [`Server::run_stdio`], or call
-/// [`Server::handle_line`] directly for in-process use (tests, benches).
-/// Dropping the server closes the queue, joins the workers, then stops
-/// and joins the persister once every save handed to it is on disk.
+/// [`Server::handle_line`] directly for in-process use (tests, benches);
+/// each compiles its misses on the calling thread. Dropping the server
+/// closes the gate, waits until every permit is back, then stops and
+/// joins the persister once every save handed to it is on disk.
 pub struct Server {
     state: Arc<State>,
-    workers: Vec<std::thread::JoinHandle<()>>,
     persister: Option<std::thread::JoinHandle<()>>,
     prober: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
     /// Boot a server: allocates the (optionally budgeted) caches and
-    /// starts the workers, the persister (with a `cache_dir`) and the
-    /// prober (with peers).
+    /// starts the persister (with a `cache_dir`) and the prober (with
+    /// peers). No thread compiles: misses run on the threads that read
+    /// them.
     pub fn new(opts: ServeOptions) -> Server {
         // Fleet-aware budgets: the configured budgets describe the whole
         // corpus, but a ring member only owns ~1/ring of the keys — so
@@ -1666,7 +1799,7 @@ impl Server {
             probe: opts.faults.stage_probe(),
             metrics: SharedStageMetrics::new(),
             hist: StageHistograms::default(),
-            queue: BoundedQueue::new(opts.queue),
+            gate: Gate::new(opts.workers, opts.queue),
             store,
             persist,
             handoff: RwLock::new(()),
@@ -1692,16 +1825,6 @@ impl Server {
             log: OnceLock::new(),
             opts,
         });
-        let workers = (0..state.opts.workers.max(1))
-            .map(|_| {
-                let state = Arc::clone(&state);
-                std::thread::spawn(move || {
-                    while let Some(job) = state.queue.pop() {
-                        state.run_job(job);
-                    }
-                })
-            })
-            .collect();
         let persister = inbox.map(|inbox| {
             let state = Arc::clone(&state);
             std::thread::spawn(move || {
@@ -1726,7 +1849,6 @@ impl Server {
         });
         Server {
             state,
-            workers,
             persister,
             prober,
         }
@@ -1746,10 +1868,12 @@ impl Server {
             .log_event("boot", || vec![("workers", Value::U64(workers))]);
     }
 
-    /// Handle one request line, returning the reply line (no trailing
-    /// newline) and whether the request initiated shutdown.
+    /// Handle one request line on this thread, returning the reply line
+    /// (no trailing newline) and whether the request initiated shutdown.
     pub fn handle_line(&self, line: &str) -> (String, bool) {
-        self.state.handle_line(line)
+        let answer = self.state.handle_line(line);
+        let quit = answer.quit;
+        (self.state.deliver(answer, |line| line), quit)
     }
 
     /// `true` once a `shutdown` request has been accepted.
@@ -1770,9 +1894,10 @@ impl Server {
             if line.trim().is_empty() {
                 continue;
             }
-            let (reply, quit) = self.handle_line(&line);
-            writeln!(output, "{reply}")?;
-            output.flush()?;
+            let answer = self.state.handle_line(&line);
+            let quit = answer.quit;
+            let write = |reply| writeln!(output, "{reply}").and_then(|()| output.flush());
+            self.state.deliver(answer, write)?;
             if quit {
                 break;
             }
@@ -1840,18 +1965,26 @@ impl Server {
         Ok(())
     }
 
-    /// Shut down: close the queue (draining admitted compiles), join the
-    /// workers, then let the persister finish every save and join it.
-    /// Implied by drop; explicit for error visibility.
+    /// Shut down: close the gate, wait until every admitted compile has
+    /// returned its permit and handed off its save, then let the
+    /// persister finish every save and join it. Implied by drop; explicit
+    /// for error visibility.
     pub fn finish(mut self) {
         self.shutdown_and_join();
     }
 
     fn shutdown_and_join(&mut self) {
         self.state.begin_shutdown();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        self.state.gate.drain();
+        // A compile takes the barrier before it returns its permit, so
+        // this waits for every save still between its reply and its
+        // hand-off.
+        drop(
+            self.state
+                .handoff
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         // The table hook keeps a sender alive, so the persister stops on
         // a message, not on a closed channel.
         if let Some(handle) = self.persister.take() {
@@ -1891,8 +2024,12 @@ fn reset_line(buf: &mut String) {
 /// stream. Hygiene: lines over `max_line_bytes` and clients stalled
 /// mid-line for longer than `read_timeout_ms` get the connection
 /// closed (the former with a protocol error first).
-fn serve_conn(state: &Arc<State>, stream: TcpStream) {
+fn serve_conn(state: &State, stream: TcpStream) {
+    let stall = Duration::from_millis(state.opts.read_timeout_ms.max(1));
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    // A reply that owes a save holds the `stats` barrier while it is
+    // written, so a client that stops reading cannot hold it for longer.
+    let _ = stream.set_write_timeout(Some(stall));
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -1900,7 +2037,6 @@ fn serve_conn(state: &Arc<State>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut buf = String::new();
     let max_line = state.opts.max_line_bytes.max(1);
-    let stall = Duration::from_millis(state.opts.read_timeout_ms.max(1));
     let mut line_started: Option<Instant> = None;
     let overlong = |writer: &mut io::BufWriter<TcpStream>| {
         state.errors.fetch_add(1, Ordering::Relaxed);
@@ -1929,24 +2065,24 @@ fn serve_conn(state: &Arc<State>, stream: TcpStream) {
                 if let Some(ms) = state.opts.faults.slow_read_ms {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
-                let (reply, quit) = state.handle_line(line);
+                let answer = state.handle_line(line);
+                let quit = answer.quit;
                 reset_line(&mut buf);
-                if let Some(every) = state.opts.faults.drop_reply_every {
-                    let nth = state.replies.fetch_add(1, Ordering::Relaxed) + 1;
-                    if nth.is_multiple_of(every) {
-                        // Chaos: cut the connection mid-reply.
-                        let _ = writer.write_all(&reply.as_bytes()[..reply.len() / 2]);
-                        let _ = writer.flush();
-                        break;
+                let written = state.deliver(answer, |reply| {
+                    if let Some(every) = state.opts.faults.drop_reply_every {
+                        let nth = state.replies.fetch_add(1, Ordering::Relaxed) + 1;
+                        if nth.is_multiple_of(every) {
+                            // Chaos: cut the connection mid-reply.
+                            let _ = writer.write_all(&reply.as_bytes()[..reply.len() / 2]);
+                            let _ = writer.flush();
+                            return false;
+                        }
                     }
-                }
-                if writeln!(writer, "{reply}")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
-                }
-                if quit {
+                    writeln!(writer, "{reply}")
+                        .and_then(|()| writer.flush())
+                        .is_ok()
+                });
+                if !written || quit {
                     break;
                 }
             }
@@ -2164,6 +2300,197 @@ mod tests {
             Reply::from_line(&reply).unwrap(),
             Reply::Peers(p) if p.ok && p.owner.is_none()
         ));
+    }
+
+    #[test]
+    fn a_panicking_compile_is_answered_and_its_permit_comes_back() {
+        let (addr, server) = spawn_loopback(ServeOptions {
+            faults: FaultPlan {
+                panic_stage: Some(mps::Stage::Select),
+                ..FaultPlan::default()
+            },
+            ..one_worker()
+        })
+        .expect("spawn");
+        let mut client = Client::connect(addr, 50, Duration::from_millis(10)).expect("connect");
+        let mut compile = by_name("fig4");
+        compile.id = Some(5);
+        match client.request(&compile).expect("answered") {
+            Reply::Error(e) => {
+                assert_eq!((e.code.as_deref(), e.id), (Some("internal"), Some(5)));
+            }
+            other => panic!("expected an internal error, got {other:?}"),
+        }
+        // The connection thread survived the panic…
+        assert!(matches!(
+            client.request(&Request::op("ping")).expect("pong"),
+            Reply::Pong(_)
+        ));
+        // …and the one permit came back: a leaked one would leave this
+        // miss waiting in line until its deadline.
+        compile.deadline_ms = Some(10_000);
+        match client.request(&compile).expect("answered") {
+            Reply::Compile(r) => assert!(!r.cached),
+            other => panic!("expected a compile, got {other:?}"),
+        }
+        let stats = client.stats().expect("stats");
+        assert_eq!((stats.compiles, stats.errors, stats.queue_depth), (2, 1, 0));
+        client.shutdown().expect("shutdown ack");
+        server.join().expect("server thread");
+    }
+
+    /// A server whose compiles spend `delay_ms` at select, with one
+    /// permit and a line of `queue`.
+    fn slow_one_permit(delay_ms: u64, queue: usize) -> Server {
+        Server::new(ServeOptions {
+            workers: 1,
+            queue,
+            faults: FaultPlan {
+                delay_stage: Some((mps::Stage::Select, delay_ms)),
+                ..FaultPlan::default()
+            },
+            ..ServeOptions::default()
+        })
+    }
+
+    fn compile_line_of(name: &str) -> String {
+        by_name(name).to_line()
+    }
+
+    /// Poll `server`'s stats until `done` holds, for at most ten seconds.
+    fn wait_for(server: &Server, what: &str, done: impl Fn(&StatsReply) -> bool) {
+        let t0 = Instant::now();
+        while !done(&server.stats()) {
+            assert!(t0.elapsed() < Duration::from_secs(10), "never saw {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_miss_past_a_full_line_is_shed_while_one_waits() {
+        let server = slow_one_permit(300, 1);
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.handle_line(&compile_line_of("fig2")));
+            wait_for(&server, "a running compile", |s| {
+                s.artifact_cache_misses == 1
+            });
+            let waiting = scope.spawn(|| server.handle_line(&compile_line_of("dft3")));
+            wait_for(&server, "a waiter", |s| s.queue_depth == 1);
+            let (reply, _) = server.handle_line(&compile_line_of("fir8"));
+            assert!(matches!(
+                Reply::from_line(&reply).unwrap(),
+                Reply::Error(e) if e.code.as_deref() == Some("overloaded")
+                    && e.retry_after_ms.is_some()
+            ));
+            let stats = server.stats();
+            assert_eq!((stats.queue_depth, stats.sheds), (1, 1));
+            for compile in [running, waiting] {
+                let (reply, _) = compile.join().expect("compile thread");
+                assert!(matches!(
+                    Reply::from_line(&reply).unwrap(),
+                    Reply::Compile(_)
+                ));
+            }
+        });
+        let stats = server.stats();
+        assert_eq!(stats.queue_depth, 0);
+        assert_eq!(
+            stats.latency.queue_wait.count, 2,
+            "the shed miss never waited"
+        );
+    }
+
+    #[test]
+    fn a_waiter_is_answered_at_its_deadline() {
+        let server = slow_one_permit(300, 4);
+        std::thread::scope(|scope| {
+            let running = scope.spawn(|| server.handle_line(&compile_line_of("fig2")));
+            wait_for(&server, "a running compile", |s| {
+                s.artifact_cache_misses == 1
+            });
+            let t0 = Instant::now();
+            let (reply, _) =
+                server.handle_line(r#"{"op":"compile","workload":"dft3","deadline_ms":50}"#);
+            let waited = t0.elapsed();
+            assert!(matches!(
+                Reply::from_line(&reply).unwrap(),
+                Reply::Error(e) if e.code.as_deref() == Some("deadline")
+                    && e.error == "deadline expired in the admission queue"
+            ));
+            assert!(
+                waited < Duration::from_millis(200),
+                "answered after {waited:?}, not at its 50 ms deadline"
+            );
+            let stats = server.stats();
+            assert_eq!((stats.queue_depth, stats.deadline_exceeded), (0, 1));
+            running.join().expect("compile thread");
+        });
+    }
+
+    #[test]
+    fn permits_go_to_waiters_in_arrival_order() {
+        let server = slow_one_permit(100, 4);
+        let finished = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let compile = |name: &'static str| {
+                let (server, finished) = (&server, &finished);
+                scope.spawn(move || {
+                    let (reply, _) = server.handle_line(&compile_line_of(name));
+                    assert!(matches!(
+                        Reply::from_line(&reply).unwrap(),
+                        Reply::Compile(_)
+                    ));
+                    finished.lock().unwrap().push(name);
+                })
+            };
+            compile("fig2");
+            wait_for(&server, "a running compile", |s| {
+                s.artifact_cache_misses == 1
+            });
+            for (i, name) in ["dft3", "fir8", "iir2"].into_iter().enumerate() {
+                compile(name);
+                wait_for(&server, "a waiter", |s| s.queue_depth == i as u64 + 1);
+            }
+        });
+        // One permit: each compile finishes before the next one starts.
+        assert_eq!(
+            finished.into_inner().unwrap(),
+            ["fig2", "dft3", "fir8", "iir2"]
+        );
+    }
+
+    #[test]
+    fn finish_returns_only_after_an_in_flight_compile_is_persisted() {
+        let dir = scratch_dir("finish");
+        let server = Server::new(ServeOptions {
+            cache_dir: Some(dir.clone()),
+            faults: FaultPlan {
+                delay_stage: Some((mps::Stage::Schedule, 200)),
+                ..FaultPlan::default()
+            },
+            ..one_worker()
+        });
+        let state = Arc::clone(&server.state);
+        let compile = std::thread::spawn(move || {
+            let answer = state.handle_line(&compile_line_of("fig2"));
+            state.deliver(answer, |line| line)
+        });
+        wait_for(&server, "a running compile", |s| {
+            s.artifact_cache_misses == 1
+        });
+        server.finish();
+        let reply = compile.join().expect("compile thread");
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Compile(_)
+        ));
+        let store = ArtifactStore::open(&dir).expect("cache dir");
+        assert_eq!(
+            store.load_results().loaded.len(),
+            1,
+            "the result is on disk"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
