@@ -1,7 +1,7 @@
 //! Performance of the extension machinery: beam search vs greedy
-//! scheduling, switch-aware scheduling, annealing refinement, register
-//! allocation, and tile replay — the costs a compiler pays for each
-//! post-paper improvement.
+//! scheduling, switch-aware scheduling, annealing refinement, tile replay
+//! and modulo scheduling — the costs a compiler pays for each post-paper
+//! improvement.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mps::prelude::*;
@@ -99,19 +99,12 @@ fn bench_anneal(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_regalloc_and_replay(c: &mut Criterion) {
+fn bench_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("extensions/backend");
     let (adfg, patterns) = setup("dct8");
     let schedule = schedule_multi_pattern(&adfg, &patterns, MultiPatternConfig::default())
         .unwrap()
         .schedule;
-    group.bench_function("regalloc", |b| {
-        b.iter(|| {
-            mps::montium::allocate_registers(&adfg, &schedule, Default::default())
-                .unwrap()
-                .spills
-        })
-    });
     group.bench_function("replay", |b| {
         b.iter(|| {
             mps::montium::execute(
@@ -155,7 +148,7 @@ criterion_group!(
     bench_beam_width,
     bench_switch_aware,
     bench_anneal,
-    bench_regalloc_and_replay,
+    bench_replay,
     bench_modulo
 );
 criterion_main!(benches);

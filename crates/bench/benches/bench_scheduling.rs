@@ -90,13 +90,6 @@ fn bench_vs_baselines(c: &mut Criterion) {
     group.bench_function("asap", |b| {
         b.iter(|| mps::scheduler::classic::asap_schedule(&adfg).len());
     });
-    group.bench_function("force_directed", |b| {
-        b.iter(|| {
-            mps::scheduler::force_directed::force_directed(&adfg, 10)
-                .schedule
-                .len()
-        });
-    });
     group.finish();
 }
 

@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | [`dfg`] | `mps-dfg` | colored data-flow graphs, ASAP/ALAP/height, reachability, spans |
 //! | [`patterns`] | `mps-patterns` | pattern bags, span-limited antichain enumeration, `h(p̄,n)` tables |
-//! | [`scheduler`] | `mps-scheduler` | multi-pattern list scheduling, classic + force-directed baselines |
+//! | [`scheduler`] | `mps-scheduler` | multi-pattern list scheduling (Fig. 3 list + modulo engines), classic baselines |
 //! | [`select`] | `mps-select` | the Eq. 8 pattern selection algorithm and its baselines |
 //! | [`montium`] | `mps-montium` | 5-ALU / 32-config tile model with cycle-accurate replay |
 //! | [`fabric`] | `mps-fabric` | multi-tile fabric descriptions, DFG partitioning, transfer-aware mapping |

@@ -994,7 +994,7 @@ impl<'s> Scheduled<'s> {
             ii: self.scheduled.ii,
             mii: self.scheduled.mii,
             slot_patterns: self.scheduled.slot_patterns,
-            switches: self.scheduled.switches,
+            switches: None,
             exec: None,
             fabric: None,
             metrics: self.metrics,
@@ -1030,7 +1030,7 @@ impl Mapped<'_> {
             ii: self.scheduled.ii,
             mii: self.scheduled.mii,
             slot_patterns: self.scheduled.slot_patterns,
-            switches: self.scheduled.switches,
+            switches: None,
             exec: Some(self.report),
             fabric: None,
             metrics: self.metrics,
@@ -1060,7 +1060,9 @@ pub struct CompileResult {
     pub mii: Option<usize>,
     /// Steady-state slot patterns (modulo only).
     pub slot_patterns: Option<Vec<mps_patterns::Pattern>>,
-    /// Pattern reconfigurations (switch-aware scheduling only).
+    /// Always `None`: no session engine counts pattern reconfigurations.
+    /// Kept so the artifact encoding and the wire reply's `"switches"`
+    /// key stay byte-identical.
     pub switches: Option<usize>,
     /// Tile replay report, when the compile mapped onto a tile (for
     /// fabric compiles: set only on one-tile fabrics, where it equals
@@ -1506,7 +1508,7 @@ mod tests {
             fig2(),
             CompileConfig {
                 fabric: Some(FabricParams::default()),
-                schedule: ScheduleEngine::parse("beam").unwrap(),
+                schedule: ScheduleEngine::Modulo(mps_scheduler::ModuloConfig::default()),
                 ..Default::default()
             },
         );

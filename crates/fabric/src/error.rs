@@ -10,7 +10,14 @@ use std::fmt;
 pub enum FabricError {
     /// The fabric has no tiles.
     EmptyFabric,
-    /// A tile is degenerate: zero ALUs or a zero-entry config store.
+    /// More tiles than [`crate::FabricParams::MAX_TILES`].
+    TooManyTiles {
+        /// The fabric's tile count.
+        tiles: usize,
+    },
+    /// A tile is degenerate (zero ALUs or a zero-entry config store) or
+    /// beyond [`crate::FabricParams::MAX_TILE_ALUS`] /
+    /// [`crate::FabricParams::MAX_TILE_CONFIGS`].
     BadTile {
         /// Index of the offending tile.
         tile: usize,
@@ -48,13 +55,18 @@ impl fmt::Display for FabricError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FabricError::EmptyFabric => f.write_str("fabric has no tiles"),
+            FabricError::TooManyTiles { tiles } => write!(
+                f,
+                "fabric has {tiles} tiles, more than {}",
+                crate::FabricParams::MAX_TILES
+            ),
             FabricError::BadTile {
                 tile,
                 alus,
                 max_configs,
             } => write!(
                 f,
-                "tile {tile} is degenerate ({alus} ALUs, {max_configs} config entries)"
+                "tile {tile} is degenerate or oversized ({alus} ALUs, {max_configs} config entries)"
             ),
             FabricError::UnsupportedEngine { engine } => write!(
                 f,

@@ -37,6 +37,13 @@ impl Default for Interconnect {
 /// | `4:3` | four 3-ALU tiles |
 /// | `2:5,16@3` | two 5-ALU, 16-config tiles, 3-cycle transfers |
 /// | `5,32+3,16` | one default tile plus one 3-ALU, 16-config tile |
+///
+/// A fabric has at most [`FabricParams::MAX_TILES`] tiles, each with at
+/// most [`FabricParams::MAX_TILE_ALUS`] ALUs and
+/// [`FabricParams::MAX_TILE_CONFIGS`] config entries, far above the
+/// largest fabrics in use (`4:3,16@2`, `6,32+2,32`). [`FabricParams::parse`]
+/// refuses a spec beyond them before it allocates a tile list;
+/// [`FabricParams::validate`] refuses a description built in code.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FabricParams {
     /// The tiles, in fabric order. Tile 0 hosts the topologically
@@ -54,6 +61,15 @@ impl Default for FabricParams {
 }
 
 impl FabricParams {
+    /// Most tiles a fabric may have (16× the largest fabric in use).
+    pub const MAX_TILES: usize = 64;
+    /// Most ALUs one tile may have (the Montium has 5; the wire caps
+    /// pattern capacity at 16).
+    pub const MAX_TILE_ALUS: usize = 64;
+    /// Most configuration entries one tile may store (the Montium has
+    /// 32).
+    pub const MAX_TILE_CONFIGS: usize = 1024;
+
     /// A one-tile fabric (the bit-identity oracle configuration).
     pub fn single(tile: TileParams) -> FabricParams {
         FabricParams {
@@ -87,14 +103,20 @@ impl FabricParams {
         self.tiles.iter().map(|t| t.alus).min().unwrap_or(0)
     }
 
-    /// Check the description is usable: at least one tile, and no tile
-    /// degenerate (zero ALUs or zero config entries).
+    /// Check the description is usable: one to [`Self::MAX_TILES`]
+    /// tiles, and no tile degenerate (zero ALUs or zero config entries)
+    /// or beyond the per-tile bounds.
     pub fn validate(&self) -> Result<(), FabricError> {
         if self.tiles.is_empty() {
             return Err(FabricError::EmptyFabric);
         }
+        if self.tiles.len() > Self::MAX_TILES {
+            return Err(FabricError::TooManyTiles {
+                tiles: self.tiles.len(),
+            });
+        }
         for (i, t) in self.tiles.iter().enumerate() {
-            if t.alus == 0 || t.max_configs == 0 {
+            if t.alus == 0 || t.max_configs == 0 || !Self::within_bounds(t) {
                 return Err(FabricError::BadTile {
                     tile: i,
                     alus: t.alus,
@@ -107,13 +129,17 @@ impl FabricParams {
 
     /// Parse the `N[:alus[,configs]][@latency]` /
     /// `alus[,configs]+…[@latency]` spec (see the type docs). `None` on
-    /// any syntax error or zero tile count.
+    /// any syntax error, a zero tile count, or a tile count, ALU count or
+    /// config-store size beyond the type's bounds.
     pub fn parse(spec: &str) -> Option<FabricParams> {
         let (body, latency) = match spec.split_once('@') {
             Some((body, lat)) => (body, lat.parse::<u64>().ok()?),
             None => (spec, Interconnect::default().transfer_latency),
         };
         let tiles = if body.contains('+') {
+            if body.matches('+').count() >= Self::MAX_TILES {
+                return None;
+            }
             body.split('+')
                 .map(Self::parse_tile)
                 .collect::<Option<Vec<_>>>()?
@@ -122,6 +148,9 @@ impl FabricParams {
                 Some((n, tile)) => (n.parse::<usize>().ok()?, Self::parse_tile(tile)?),
                 None => (body.parse::<usize>().ok()?, TileParams::default()),
             };
+            if count > Self::MAX_TILES {
+                return None;
+            }
             vec![tile; count]
         };
         if tiles.is_empty() {
@@ -141,10 +170,16 @@ impl FabricParams {
             Some((a, c)) => (a.parse().ok()?, c.parse().ok()?),
             None => (s.parse().ok()?, TileParams::default().max_configs),
         };
-        Some(TileParams {
+        let tile = TileParams {
             alus,
             max_configs: configs,
-        })
+        };
+        Self::within_bounds(&tile).then_some(tile)
+    }
+
+    /// A tile within [`Self::MAX_TILE_ALUS`] and [`Self::MAX_TILE_CONFIGS`].
+    fn within_bounds(tile: &TileParams) -> bool {
+        tile.alus <= Self::MAX_TILE_ALUS && tile.max_configs <= Self::MAX_TILE_CONFIGS
     }
 }
 
@@ -203,6 +238,63 @@ mod tests {
 
         for bad in ["", "0", "x", "2:", "2:a", "3@", "1+"] {
             assert!(FabricParams::parse(bad).is_none(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn parse_refuses_fabrics_beyond_the_bounds() {
+        let (tiles, alus, configs) = (
+            FabricParams::MAX_TILES,
+            FabricParams::MAX_TILE_ALUS,
+            FabricParams::MAX_TILE_CONFIGS,
+        );
+        let at = FabricParams::parse(&format!("{tiles}:{alus},{configs}")).unwrap();
+        assert_eq!(at.tile_count(), tiles);
+        assert_eq!(at.validate(), Ok(()));
+        let joined = vec![format!("{alus},{configs}"); tiles].join("+");
+        assert_eq!(FabricParams::parse(&joined), Some(at));
+        for over in [
+            format!("{}", tiles + 1),
+            format!("{}:5", tiles + 1),
+            vec!["5"; tiles + 1].join("+"),
+            format!("2:{}", alus + 1),
+            format!("2:5,{}", configs + 1),
+            format!("5+{},32", alus + 1),
+            format!("5+5,{}", configs + 1),
+            // Probes that once asked for gigabytes.
+            "100000000".to_string(),
+            "2:100000000,4".to_string(),
+            "18446744073709551615".to_string(),
+        ] {
+            assert!(
+                FabricParams::parse(&over).is_none(),
+                "{over:?} must not parse"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_refuses_fabrics_beyond_the_bounds() {
+        let tile = |alus, max_configs| TileParams { alus, max_configs };
+        let max = tile(FabricParams::MAX_TILE_ALUS, FabricParams::MAX_TILE_CONFIGS);
+        assert_eq!(
+            FabricParams::uniform(FabricParams::MAX_TILES, max).validate(),
+            Ok(())
+        );
+        assert_eq!(
+            FabricParams::uniform(FabricParams::MAX_TILES + 1, max).validate(),
+            Err(FabricError::TooManyTiles {
+                tiles: FabricParams::MAX_TILES + 1
+            })
+        );
+        for bad in [
+            tile(FabricParams::MAX_TILE_ALUS + 1, 32),
+            tile(5, FabricParams::MAX_TILE_CONFIGS + 1),
+        ] {
+            assert!(matches!(
+                FabricParams::single(bad).validate(),
+                Err(FabricError::BadTile { tile: 0, .. })
+            ));
         }
     }
 

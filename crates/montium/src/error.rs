@@ -44,13 +44,6 @@ pub enum MontiumError {
         /// A node that never executes.
         missing: NodeId,
     },
-    /// Register allocation ran out of registers *and* spill memory.
-    OutOfStorage {
-        /// Cycle at which storage was exhausted (0-based).
-        cycle: usize,
-        /// Values that needed to be live at that point.
-        live: usize,
-    },
 }
 
 impl fmt::Display for MontiumError {
@@ -77,12 +70,6 @@ impl fmt::Display for MontiumError {
             }
             MontiumError::IncompleteSchedule { missing } => {
                 write!(f, "node {missing} never executes")
-            }
-            MontiumError::OutOfStorage { cycle, live } => {
-                write!(
-                    f,
-                    "cycle {cycle}: {live} live values exceed registers + memory"
-                )
             }
         }
     }

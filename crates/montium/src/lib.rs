@@ -20,7 +20,9 @@
 //!   switches;
 //! * [`EnergyModel`] — a simple per-op + per-reconfiguration energy
 //!   estimate, enough to *rank* schedules (absolute Joules are not
-//!   claimed).
+//!   claimed);
+//! * [`lifetimes`] — the register pressure a schedule implies (peak and
+//!   total live values), without assigning registers.
 //!
 //! Replay failures are real errors, not warnings: a schedule that uses 33
 //! patterns or issues a node before its operands exists only because some
@@ -29,22 +31,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod codegen;
 mod config_store;
 mod energy;
 mod error;
 mod exec;
 mod lifetime;
-mod regalloc;
 mod tile;
 
-pub use codegen::{lower, AluOp, Instruction, Program};
 pub use config_store::ConfigStore;
 pub use energy::{EnergyEstimate, EnergyModel};
 pub use error::MontiumError;
 pub use exec::{execute, AluSlot, ExecReport};
 pub use lifetime::{lifetimes, LifetimeReport};
-pub use regalloc::{
-    allocate_registers, verify as verify_allocation, Location, RegAllocReport, RegFileParams,
-};
 pub use tile::TileParams;

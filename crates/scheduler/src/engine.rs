@@ -1,28 +1,23 @@
-//! The unified scheduling-engine surface: every scheduler in this crate
-//! behind one enum, for `mps::Session` and the CLI.
+//! The scheduling-engine surface `mps::Session` and the CLI dispatch on.
 //!
-//! Each variant maps onto a concrete piece of the paper (or a baseline
-//! built around it):
+//! Each variant maps onto a concrete piece of the paper:
 //!
 //! | variant | entry point | paper anchor |
 //! |---|---|---|
 //! | [`ScheduleEngine::List`] | [`schedule_multi_pattern`] | §4, Fig. 3 + Eq. 4–7 — the paper's multi-pattern list scheduler (Table 2 trace) |
 //! | [`ScheduleEngine::Modulo`] | [`schedule_modulo`] | software pipelining of the paper's loop kernels (throughput instead of latency) |
-//! | [`ScheduleEngine::Beam`] | [`schedule_beam`] | Fig. 3 with per-cycle pattern lookahead; never worse than the greedy |
-//! | [`ScheduleEngine::SwitchAware`] | [`schedule_switch_aware`] | Fig. 3 biased toward the incumbent configuration (Montium reconfiguration cost) |
-//! | [`ScheduleEngine::ForceDirected`] | [`force_directed`] | Paulin & Knight, the related-work baseline the paper cites in §2 |
 //!
-//! All engines produce a flat [`Schedule`] through one result type,
-//! [`EngineSchedule`], with the engine-specific extras (initiation
-//! interval, reconfiguration count) carried as optional fields.
+//! Both engines produce a flat [`Schedule`] through one result type,
+//! [`EngineSchedule`], with the modulo extras (initiation interval, slot
+//! patterns) carried as optional fields. The crate's other schedulers
+//! ([`crate::schedule_beam`], [`crate::schedule_switch_aware`],
+//! [`crate::exact::schedule_exact`]) are free functions that the
+//! comparison binaries call directly.
 
-use crate::beam::{schedule_beam, BeamConfig};
 use crate::error::ScheduleError;
-use crate::force_directed::force_directed;
 use crate::modulo::{schedule_modulo, ModuloConfig};
 use crate::multi_pattern::{schedule_multi_pattern, MultiPatternConfig};
 use crate::schedule::Schedule;
-use crate::switch_aware::{schedule_switch_aware, SwitchAwareConfig};
 use crate::trace::ScheduleTrace;
 use mps_dfg::AnalyzedDfg;
 use mps_patterns::PatternSet;
@@ -38,21 +33,6 @@ pub enum ScheduleEngine {
     /// single-iteration schedule is returned, with the achieved
     /// initiation interval in [`EngineSchedule::ii`].
     Modulo(ModuloConfig),
-    /// Beam search over per-cycle pattern choices; falls back to the
-    /// greedy result when the beam does not improve on it.
-    Beam(BeamConfig),
-    /// Fig. 3 with an incumbent-pattern bias; the reconfiguration count
-    /// lands in [`EngineSchedule::switches`].
-    SwitchAware(SwitchAwareConfig),
-    /// Force-directed scheduling at a target latency (clamped up to the
-    /// critical path; `0` means "critical path"). A latency-constrained
-    /// baseline: it synthesizes per-cycle patterns instead of respecting
-    /// the selected set, so its schedules answer "what resources would a
-    /// classic HLS scheduler need", not "how fast is this pattern set".
-    ForceDirected {
-        /// Target latency in cycles (`0` = critical-path length).
-        latency: u32,
-    },
 }
 
 impl Default for ScheduleEngine {
@@ -74,62 +54,29 @@ pub struct EngineSchedule {
     /// The pre-search lower bound on the interval (modulo only; `ii ==
     /// mii` means provably optimal).
     pub mii: Option<usize>,
-    /// Pattern reconfigurations between consecutive cycles
-    /// ([`ScheduleEngine::SwitchAware`] only).
-    pub switches: Option<usize>,
     /// Pattern configured in each steady-state slot (modulo only; index
     /// `r` hosts every flat cycle `t ≡ r (mod ii)`).
     pub slot_patterns: Option<Vec<mps_patterns::Pattern>>,
 }
 
-impl EngineSchedule {
-    fn plain(schedule: Schedule) -> EngineSchedule {
-        EngineSchedule {
-            schedule,
-            trace: None,
-            ii: None,
-            mii: None,
-            switches: None,
-            slot_patterns: None,
-        }
-    }
-}
-
 impl ScheduleEngine {
-    /// Stable machine-readable name (the same one
-    /// [`ScheduleEngine::parse`] accepts), for CLI output and metrics.
+    /// Stable machine-readable name, for CLI output, metrics and error
+    /// messages.
     pub fn name(&self) -> &'static str {
         match self {
             ScheduleEngine::List(_) => "list",
             ScheduleEngine::Modulo(_) => "modulo",
-            ScheduleEngine::Beam(_) => "beam",
-            ScheduleEngine::SwitchAware(_) => "switch-aware",
-            ScheduleEngine::ForceDirected { .. } => "force-directed",
         }
     }
 
-    /// Parse an engine name with default parameters.
-    pub fn parse(s: &str) -> Option<ScheduleEngine> {
-        Some(match s {
-            "list" => ScheduleEngine::List(MultiPatternConfig::default()),
-            "modulo" => ScheduleEngine::Modulo(ModuloConfig::default()),
-            "beam" => ScheduleEngine::Beam(BeamConfig::default()),
-            "switch-aware" => ScheduleEngine::SwitchAware(SwitchAwareConfig::default()),
-            "force-directed" => ScheduleEngine::ForceDirected { latency: 0 },
-            _ => return None,
-        })
-    }
-
     /// The [`MultiPatternConfig`] this engine evaluates schedules with —
-    /// its own for the Fig. 3 family, the default otherwise. Used by
+    /// its own for the list scheduler, the default otherwise. Used by
     /// callers that need a list-scheduler configuration consistent with
     /// the chosen engine (e.g. the search-based selection engines).
     pub fn eval_config(&self) -> MultiPatternConfig {
         match self {
             ScheduleEngine::List(cfg) => *cfg,
-            ScheduleEngine::Beam(cfg) => cfg.greedy,
-            ScheduleEngine::SwitchAware(cfg) => cfg.base,
-            _ => MultiPatternConfig::default(),
+            ScheduleEngine::Modulo(_) => MultiPatternConfig::default(),
         }
     }
 
@@ -137,45 +84,34 @@ impl ScheduleEngine {
     ///
     /// Errors exactly when the underlying engine errors (empty pattern
     /// set, a color no pattern provides, or no feasible initiation
-    /// interval). [`ScheduleEngine::ForceDirected`] ignores `patterns`
-    /// by design and never fails.
+    /// interval).
     pub fn run(
         &self,
         adfg: &AnalyzedDfg,
         patterns: &PatternSet,
     ) -> Result<EngineSchedule, ScheduleError> {
-        match self {
+        Ok(match self {
             ScheduleEngine::List(cfg) => {
                 let r = schedule_multi_pattern(adfg, patterns, *cfg)?;
-                Ok(EngineSchedule {
+                EngineSchedule {
+                    schedule: r.schedule,
                     trace: r.trace,
-                    ..EngineSchedule::plain(r.schedule)
-                })
+                    ii: None,
+                    mii: None,
+                    slot_patterns: None,
+                }
             }
             ScheduleEngine::Modulo(cfg) => {
                 let r = schedule_modulo(adfg, patterns, *cfg)?;
-                Ok(EngineSchedule {
+                EngineSchedule {
+                    schedule: r.schedule,
+                    trace: None,
                     ii: Some(r.ii),
                     mii: Some(r.mii),
                     slot_patterns: Some(r.slot_patterns),
-                    ..EngineSchedule::plain(r.schedule)
-                })
+                }
             }
-            ScheduleEngine::Beam(cfg) => {
-                let r = schedule_beam(adfg, patterns, *cfg)?;
-                Ok(EngineSchedule::plain(r.schedule))
-            }
-            ScheduleEngine::SwitchAware(cfg) => {
-                let r = schedule_switch_aware(adfg, patterns, *cfg)?;
-                Ok(EngineSchedule {
-                    switches: Some(r.switches),
-                    ..EngineSchedule::plain(r.schedule)
-                })
-            }
-            ScheduleEngine::ForceDirected { latency } => Ok(EngineSchedule::plain(
-                force_directed(adfg, *latency).schedule,
-            )),
-        }
+        })
     }
 }
 
@@ -205,9 +141,6 @@ mod tests {
         vec![
             ScheduleEngine::default(),
             ScheduleEngine::Modulo(ModuloConfig::default()),
-            ScheduleEngine::Beam(BeamConfig::default()),
-            ScheduleEngine::SwitchAware(SwitchAwareConfig::default()),
-            ScheduleEngine::ForceDirected { latency: 0 },
         ]
     }
 
@@ -231,14 +164,10 @@ mod tests {
         let modulo = ScheduleEngine::Modulo(ModuloConfig::default())
             .run(&adfg, &patterns())
             .unwrap();
-        assert!(modulo.ii.is_some() && modulo.mii.is_some());
+        assert!(modulo.ii.is_some() && modulo.mii.is_some() && modulo.slot_patterns.is_some());
         assert!(modulo.ii.unwrap() >= modulo.mii.unwrap());
-        let switchy = ScheduleEngine::SwitchAware(SwitchAwareConfig::default())
-            .run(&adfg, &patterns())
-            .unwrap();
-        assert!(switchy.switches.is_some());
         let list = ScheduleEngine::default().run(&adfg, &patterns()).unwrap();
-        assert!(list.ii.is_none() && list.switches.is_none() && list.trace.is_none());
+        assert!(list.ii.is_none() && list.slot_patterns.is_none() && list.trace.is_none());
         let traced = ScheduleEngine::List(MultiPatternConfig {
             record_trace: true,
             ..Default::default()
@@ -253,30 +182,26 @@ mod tests {
         let adfg = adfg();
         let missing_b = PatternSet::from_patterns([Pattern::parse("aa").unwrap()]);
         for engine in engines() {
-            let r = engine.run(&adfg, &missing_b);
-            if let ScheduleEngine::ForceDirected { .. } = engine {
-                assert!(r.is_ok(), "force-directed ignores patterns");
-            } else {
-                assert_eq!(
-                    r.unwrap_err(),
-                    ScheduleError::UncoveredColor(Color::from_char('b').unwrap()),
-                    "{}",
-                    engine.name()
-                );
-            }
+            assert_eq!(
+                engine.run(&adfg, &missing_b).unwrap_err(),
+                ScheduleError::UncoveredColor(Color::from_char('b').unwrap()),
+                "{}",
+                engine.name()
+            );
         }
     }
 
     #[test]
-    fn names_round_trip_through_parse() {
-        for engine in engines() {
-            let reparsed = ScheduleEngine::parse(engine.name()).expect("name parses");
-            assert_eq!(reparsed.name(), engine.name());
-        }
-        assert!(ScheduleEngine::parse("bogus").is_none());
-        assert_eq!(ScheduleEngine::default().name(), "list");
+    fn names_and_eval_configs_are_stable() {
+        let names: Vec<&str> = engines().iter().map(ScheduleEngine::name).collect();
+        assert_eq!(names, ["list", "modulo"]);
+        let traced = MultiPatternConfig {
+            record_trace: true,
+            ..Default::default()
+        };
+        assert_eq!(ScheduleEngine::List(traced).eval_config(), traced);
         assert_eq!(
-            ScheduleEngine::Beam(BeamConfig::default()).eval_config(),
+            ScheduleEngine::Modulo(ModuloConfig::default()).eval_config(),
             MultiPatternConfig::default()
         );
     }

@@ -21,9 +21,13 @@
 //! * [`classic::asap_schedule`] / [`classic::alap_schedule`] — unlimited
 //!   resources (one cycle per level),
 //! * [`classic::list_schedule_uniform`] — classic resource-constrained
-//!   list scheduling with `C` color-agnostic ALUs,
-//! * [`force_directed`] — Paulin & Knight's force-directed scheduling
-//!   (related work §2), used to compare per-color resource usage.
+//!   list scheduling with `C` color-agnostic ALUs.
+//!
+//! [`ScheduleEngine`] dispatches the two schedulers a compile can ask
+//! for: the Fig. 3 list scheduler and [`schedule_modulo`]. The other
+//! schedulers — [`schedule_beam`], [`schedule_switch_aware`] and
+//! [`exact::schedule_exact`] — are free functions that the comparison
+//! binaries and tests call directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +36,6 @@ pub mod beam;
 pub mod bounds;
 pub mod classic;
 pub mod exact;
-pub mod force_directed;
 
 mod engine;
 mod error;

@@ -24,6 +24,11 @@
 //!
 //! [`select_and_schedule`] wires selection to the multi-pattern scheduler
 //! and [`random_baseline`] runs the Monte-Carlo comparison (Table 7).
+//!
+//! [`SelectEngine`] dispatches every selector a compile can ask for. The
+//! post-paper extensions — [`select_with_priority`] with
+//! [`scarcity_priority`], [`merge_pass`] and [`select_for_throughput`] —
+//! are free functions that the comparison binaries and tests call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +40,6 @@ mod engine;
 mod exhaustive;
 mod genetic;
 mod merge;
-mod multi_kernel;
 mod node_cover;
 mod pipeline;
 mod priority;
@@ -55,7 +59,6 @@ pub use exhaustive::{
 };
 pub use genetic::{evolve_patterns, GeneticConfig, GeneticResult};
 pub use merge::{merge_pass, MergeOutcome};
-pub use multi_kernel::{select_joint, JointOutcome};
 pub use node_cover::{node_cover_from_table, node_cover_from_table_reference, node_cover_greedy};
 pub use pipeline::{
     random_baseline, select_and_schedule, PipelineConfig, PipelineResult, RandomBaseline,
@@ -66,6 +69,4 @@ pub use select::{
     select_from_table, select_from_table_reference, select_patterns, RoundInfo, SelectionOutcome,
 };
 pub use throughput::{pattern_ii_bound, select_for_throughput, throughput_pattern};
-pub use variants::{
-    eq8_variant, scarcity_priority, select_with_priority, PriorityFn, ScarcityWeights,
-};
+pub use variants::{scarcity_priority, select_with_priority, PriorityFn, ScarcityWeights};

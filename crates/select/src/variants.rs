@@ -69,16 +69,6 @@ impl ScarcityWeights {
     }
 }
 
-/// The published Eq. 8, adapted to the pluggable signature.
-pub fn eq8_variant(
-    stats: &PatternStats,
-    selected_freq: &[u64],
-    cfg: &SelectConfig,
-    _w: &ScarcityWeights,
-) -> f64 {
-    crate::priority::eq8_priority(stats, selected_freq, cfg)
-}
-
 /// Scarcity-weighted Eq. 8: each node's `h/(Σh + ε)` term is multiplied
 /// by its color's scarcity weight. Uses the node→color map embedded in
 /// the weights (index-aligned with `node_freq`), which requires the
@@ -190,6 +180,16 @@ mod tests {
             parallel: false,
             ..Default::default()
         }
+    }
+
+    /// The published Eq. 8, adapted to the pluggable signature.
+    fn eq8_variant(
+        stats: &PatternStats,
+        selected_freq: &[u64],
+        cfg: &SelectConfig,
+        _w: &ScarcityWeights,
+    ) -> f64 {
+        crate::priority::eq8_priority(stats, selected_freq, cfg)
     }
 
     #[test]

@@ -61,6 +61,10 @@ pub struct FaultPlan {
     /// no environment variable sets it).
     #[cfg(test)]
     pub panic_stage: Option<Stage>,
+    /// Panic while resolving any request that carries this id, before
+    /// anything is parsed (tests only; no environment variable sets it).
+    #[cfg(test)]
+    pub panic_resolve_id: Option<u64>,
 }
 
 impl FaultPlan {
@@ -92,6 +96,8 @@ impl FaultPlan {
             peer_flap_every: ms("MPS_FAULT_PEER_FLAP_EVERY").filter(|&n| n > 0),
             #[cfg(test)]
             panic_stage: None,
+            #[cfg(test)]
+            panic_resolve_id: None,
         }
     }
 

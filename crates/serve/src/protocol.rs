@@ -287,7 +287,8 @@ pub struct CompileReply {
     pub schedule: String,
     /// Achieved initiation interval (modulo scheduling only).
     pub ii: Option<u64>,
-    /// Pattern reconfigurations (switch-aware scheduling only).
+    /// Always `null`: kept so reply bytes stay the same (see
+    /// [`mps::CompileResult::switches`]).
     pub switches: Option<u64>,
     /// Tile-replay cycle count, when the request asked for `alus`.
     pub exec_cycles: Option<u64>,

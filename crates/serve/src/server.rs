@@ -1428,6 +1428,10 @@ impl State {
     /// through [`inline_graph`](Self::inline_graph). A memo entry is only
     /// served for a byte-identical name or text.
     fn resolve(&self, req: &Request) -> Result<Resolved, Box<ErrorReply>> {
+        #[cfg(test)]
+        if req.id.is_some() && req.id == self.opts.faults.panic_resolve_id {
+            panic!("injected fault: resolve panicked");
+        }
         let protocol =
             |error: &str| Box::new(ErrorReply::protocol("compile", req.id, error.into()));
         let (workload, graph) = match (&req.workload, &req.graph) {
@@ -2275,12 +2279,15 @@ mod tests {
 
     #[test]
     fn a_panicking_resolve_is_answered_and_the_server_keeps_serving() {
-        let server = Server::new(one_worker());
-        // Parsing this fabric spec overflows a capacity computation and
-        // panics.
-        let (reply, quit) = server.handle_line(
-            r#"{"op":"compile","workload":"fig4","fabric":"18446744073709551615","id":3}"#,
-        );
+        let server = Server::new(ServeOptions {
+            faults: FaultPlan {
+                panic_resolve_id: Some(3),
+                ..FaultPlan::default()
+            },
+            ..one_worker()
+        });
+        // Resolving a request with id 3 panics.
+        let (reply, quit) = server.handle_line(r#"{"op":"compile","workload":"fig4","id":3}"#);
         assert!(!quit);
         assert!(matches!(
             Reply::from_line(&reply).unwrap(),
@@ -2294,11 +2301,37 @@ mod tests {
         let stats = server.stats();
         assert_eq!((stats.compiles, stats.errors), (2, 1));
         // `peers` resolves on the connection thread as well.
-        let (reply, _) = server
-            .handle_line(r#"{"op":"peers","workload":"fig4","fabric":"18446744073709551615"}"#);
+        let (reply, _) = server.handle_line(r#"{"op":"peers","workload":"fig4","id":3}"#);
         assert!(matches!(
             Reply::from_line(&reply).unwrap(),
             Reply::Peers(p) if p.ok && p.owner.is_none()
+        ));
+    }
+
+    #[test]
+    fn oversized_fabric_specs_are_refused_and_the_server_keeps_serving() {
+        let server = Server::new(one_worker());
+        // 10^8 default tiles, and two tiles of 10^8 ALUs each: both once
+        // asked for hundreds of megabytes.
+        for fabric in ["100000000", "2:100000000,4"] {
+            let line = format!(r#"{{"op":"compile","workload":"fig4","fabric":"{fabric}"}}"#);
+            let (reply, _) = server.handle_line(&line);
+            match Reply::from_line(&reply).unwrap() {
+                Reply::Error(e) => {
+                    assert_ne!(e.code.as_deref(), Some("internal"), "{fabric}");
+                    assert!(
+                        e.error.contains("invalid fabric spec"),
+                        "{fabric}: {}",
+                        e.error
+                    );
+                }
+                other => panic!("{fabric}: expected an error, got {other:?}"),
+            }
+        }
+        let (reply, _) = server.handle_line(r#"{"op":"compile","workload":"fig4"}"#);
+        assert!(matches!(
+            Reply::from_line(&reply).unwrap(),
+            Reply::Compile(_)
         ));
     }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test: drives the built `mps` CLI through the pipeline
-# the paper describes, plus one table-regeneration binary. Fails on the
-# first nonzero exit. CI runs this after the release build; run it
-# locally with:  cargo build --release && scripts/smoke.sh
+# the paper describes, then runs every table/figure binary the README
+# lists. Fails on the first nonzero exit. CI runs this after the release
+# build; run it locally with:  cargo build --release && scripts/smoke.sh
 set -euo pipefail
 
 BIN_DIR="${BIN_DIR:-target/release}"
@@ -33,8 +33,29 @@ run "$BIN_DIR/mps" select dft5 --pdef 4
 # Full pipeline (select + schedule + pipelining analysis) on a 16-tap FIR.
 run "$BIN_DIR/mps" pipeline fir16
 
-# One table binary: Table 1 reprints Fig. 2's ASAP/ALAP/height levels.
-run "$BIN_DIR/table1"
+# Multi-tile partitioning; a fabric spec beyond `FabricParams`' bounds
+# is refused with exit 2 before any tile is allocated.
+run "$BIN_DIR/mps" partition fig2 --fabric 4:3,16@2
+for spec in 100000000 2:100000000,4; do
+    echo "== $BIN_DIR/mps partition fig2 --fabric $spec (must exit 2)"
+    code=0
+    "$BIN_DIR/mps" partition fig2 --fabric "$spec" > /dev/null 2>&1 || code=$?
+    if [[ $code -ne 2 ]]; then
+        echo "error: --fabric $spec exited $code, expected 2" >&2
+        exit 1
+    fi
+done
+
+# Every binary README § "The paper's tables" lists must build and run.
+# `figures` writes its .dot files into a temp dir, not the checkout.
+for bin in table1 table2 table3 table4 table5 table6 table7 selectors \
+    pipelining multikernel reconfig ablation extensions workloads; do
+    run "$BIN_DIR/$bin"
+done
+fig_dir=$(mktemp -d)
+trap 'rm -rf "$fig_dir"' EXIT
+run "$BIN_DIR/figures" "$fig_dir"
+test -s "$fig_dir/fig2.dot" && test -s "$fig_dir/fig4.dot"
 
 # Enumeration semantics guard: antichain counts on small graphs must match
 # the values pinned in the throughput binary, so perf refactors of the

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests for the post-paper extensions: the text
 //! parser, beam scheduler, switch-aware scheduler, annealing selector,
-//! node-cover selector, and the register allocator — each exercised
-//! through the public `mps` API on the full workload suite.
+//! node-cover selector, modulo scheduling and throughput selection — each
+//! exercised through the public `mps` API on the full workload suite.
 
 use mps::prelude::*;
 use mps::scheduler::{
@@ -200,105 +200,6 @@ fn node_cover_is_always_schedulable() {
     }
 }
 
-// -------------------------------------------------------------- regalloc
-
-#[test]
-fn register_allocation_is_conflict_free_on_suite() {
-    for name in SUITE {
-        let adfg = load(name);
-        let patterns = mps::select::select_patterns(&adfg, &base_select(4)).patterns;
-        let schedule = schedule_multi_pattern(&adfg, &patterns, MultiPatternConfig::default())
-            .unwrap()
-            .schedule;
-        let report =
-            mps::montium::allocate_registers(&adfg, &schedule, Default::default()).unwrap();
-        assert!(
-            mps::montium::verify_allocation(&adfg, &schedule, &report).is_none(),
-            "{name}: overlapping lifetimes share a register"
-        );
-        // With default (20-register) files, registers never exceed peak
-        // pressure and spills only happen when pressure exceeds 20.
-        let peak = mps::montium::lifetimes(&adfg, &schedule).peak;
-        assert!(report.registers_used <= peak.max(1), "{name}");
-        if peak <= 20 {
-            assert_eq!(report.spills, 0, "{name}: no spills below capacity");
-        }
-    }
-}
-
-#[test]
-fn regalloc_spills_scale_down_with_more_registers() {
-    let adfg = load("sobel4");
-    let patterns = mps::select::select_patterns(&adfg, &base_select(4)).patterns;
-    let schedule = schedule_multi_pattern(&adfg, &patterns, MultiPatternConfig::default())
-        .unwrap()
-        .schedule;
-    let mut last_spills = usize::MAX;
-    for regs in [4usize, 8, 16, 32] {
-        let report = mps::montium::allocate_registers(
-            &adfg,
-            &schedule,
-            mps::montium::RegFileParams {
-                registers: regs,
-                memory_slots: 4096,
-            },
-        )
-        .unwrap();
-        assert!(
-            report.spills <= last_spills,
-            "{regs} registers spilled more than fewer registers did"
-        );
-        last_spills = report.spills;
-    }
-}
-
-// ------------------------------------------------------- joint selection
-
-#[test]
-fn joint_selection_schedules_every_kernel_in_the_bundle() {
-    let bundle: Vec<AnalyzedDfg> = ["fig2", "lattice5", "cordic6", "fir8"]
-        .iter()
-        .map(|n| load(n))
-        .collect();
-    let refs: Vec<&AnalyzedDfg> = bundle.iter().collect();
-    let joint = mps::select::select_joint(&refs, &base_select(6));
-    assert!(joint.patterns.len() <= 6, "shared budget respected");
-    for k in &bundle {
-        let r = schedule_multi_pattern(k, &joint.patterns, MultiPatternConfig::default())
-            .expect("joint selection covers the union color set");
-        r.schedule.validate(k, Some(&joint.patterns)).unwrap();
-    }
-}
-
-// --------------------------------------------------------------- codegen
-
-#[test]
-fn lowering_produces_complete_programs_on_suite() {
-    for name in SUITE {
-        let adfg = load(name);
-        if adfg.is_empty() {
-            continue;
-        }
-        let patterns = mps::select::select_patterns(&adfg, &base_select(4)).patterns;
-        let schedule = schedule_multi_pattern(&adfg, &patterns, MultiPatternConfig::default())
-            .unwrap()
-            .schedule;
-        let program = mps::montium::lower(
-            &adfg,
-            &schedule,
-            &patterns,
-            mps::montium::TileParams::default(),
-            mps::montium::RegFileParams::default(),
-        )
-        .expect(name);
-        assert_eq!(program.op_count(), adfg.len(), "{name}");
-        assert_eq!(program.instructions.len(), schedule.len(), "{name}");
-        assert!(program.configs_used <= 32, "{name}");
-        // The listing renders without panicking and names the config.
-        assert!(program.to_string().contains("cfg#"), "{name}");
-    }
-}
-
 // ------------------------------------------------------ modulo schedule
 
 #[test]
@@ -485,28 +386,5 @@ proptest! {
         );
         prop_assert!(r.cycles <= r.initial_cycles);
         prop_assert!(r.patterns.covers(&adfg.dfg().color_set()));
-    }
-
-    /// Register allocation is conflict-free at any register-file size.
-    #[test]
-    fn prop_regalloc_conflict_free(seed in 0u64..200, regs in 1usize..24) {
-        let g = mps::workloads::random_layered_dag(&mps::workloads::RandomDagConfig {
-            seed,
-            layers: 5,
-            width: (2, 4),
-            ..Default::default()
-        });
-        let adfg = AnalyzedDfg::new(g);
-        let patterns = mps::select::select_patterns(&adfg, &base_select(3)).patterns;
-        let schedule = schedule_multi_pattern(&adfg, &patterns, MultiPatternConfig::default())
-            .unwrap()
-            .schedule;
-        if let Ok(report) = mps::montium::allocate_registers(
-            &adfg,
-            &schedule,
-            mps::montium::RegFileParams { registers: regs, memory_slots: 4096 },
-        ) {
-            prop_assert!(mps::montium::verify_allocation(&adfg, &schedule, &report).is_none());
-        }
     }
 }

@@ -129,18 +129,6 @@ fn multi_pattern_never_beats_unconstrained_list_scheduling() {
 }
 
 #[test]
-fn force_directed_respects_latency_and_balances() {
-    let adfg = AnalyzedDfg::new(mps::workloads::dft5());
-    let cp = adfg.levels().critical_path_len();
-    let tight = mps::scheduler::force_directed::force_directed(&adfg, cp);
-    let relaxed = mps::scheduler::force_directed::force_directed(&adfg, cp + 4);
-    tight.schedule.validate(&adfg, None).unwrap();
-    relaxed.schedule.validate(&adfg, None).unwrap();
-    assert!(tight.schedule.len() <= cp as usize);
-    assert!(relaxed.total_resources() <= tight.total_resources());
-}
-
-#[test]
 fn selection_respects_montium_config_store() {
     // Even with a generous Pdef the selected set must fit the 32-entry
     // store — by construction Pdef <= 32 does.

@@ -137,9 +137,7 @@ fn all_engine_combinations_compile() {
     ];
     let schedule_engines: Vec<ScheduleEngine> = vec![
         ScheduleEngine::default(),
-        ScheduleEngine::parse("beam").unwrap(),
-        ScheduleEngine::parse("switch-aware").unwrap(),
-        ScheduleEngine::parse("modulo").unwrap(),
+        ScheduleEngine::Modulo(mps::scheduler::ModuloConfig::default()),
     ];
     for name in ["fig4", "dft3"] {
         for se in &select_engines {
